@@ -8,6 +8,7 @@ it, and produces a :class:`~repro.serving.metrics.ServingReport`.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -92,12 +93,19 @@ class World:
 
     config: ExperimentConfig
     model_config: MoEModelConfig
+    model: MoEModel
+    """The model that profiled ``warm_traces``; engines get copies of it."""
+
     warm_traces: list[RequestTrace]
     test_requests: list[Request]
 
     def fresh_model(self) -> MoEModel:
-        """A new model instance (same seed: same routing archetypes)."""
-        return MoEModel(self.model_config, seed=self.config.seed)
+        """A new model instance sharing the world's read-only gate.
+
+        A shallow copy: the gate and embedder are shared, so per-engine
+        instance patches (e.g. on ``start_session``) stay per-engine.
+        """
+        return copy.copy(self.model)
 
 
 def build_world(config: ExperimentConfig) -> World:
@@ -115,6 +123,7 @@ def build_world(config: ExperimentConfig) -> World:
     return World(
         config=config,
         model_config=model_config,
+        model=model,
         warm_traces=warm_traces,
         test_requests=test,
     )

@@ -118,6 +118,7 @@ class WorldCache:
         return World(
             config=config,
             model_config=world.model_config,
+            model=world.model,
             warm_traces=world.warm_traces,
             test_requests=world.test_requests,
         )

@@ -123,6 +123,10 @@ class SyntheticGate:
         self._prompt_projection = proj_rng.standard_normal(
             (config.embedding_dim, config.num_layers, config.experts_per_layer)
         )
+        # Every engine built from one world shares this gate; freezing its
+        # arrays keeps one engine from perturbing another's routing.
+        self._archetypes.flags.writeable = False
+        self._prompt_projection.flags.writeable = False
 
     def _walk(self, rng: np.random.Generator, length: int) -> np.ndarray:
         """A slow random walk over expert indices (one peak per layer)."""
@@ -266,10 +270,13 @@ class SyntheticGate:
         """One decode iteration: one token's routing through all layers."""
         logits = self._noisy_logits(cluster, phase, rng, prompt_bias)
         dist = softmax_rows(logits)
-        activated = tuple(
-            top_k_indices(dist[layer], self.config.top_k)
-            for layer in range(self.config.num_layers)
-        )
+        k = self.config.top_k
+        if k >= dist.shape[-1]:
+            everyone = np.arange(dist.shape[-1])
+            activated = (everyone,) * self.config.num_layers
+        else:
+            top = np.argpartition(dist, -k, axis=-1)[:, -k:]
+            activated = tuple(np.sort(top, axis=-1))
         return SampledIteration(dist, activated, logits)
 
     def sample_prefill(
@@ -302,15 +309,22 @@ class SyntheticGate:
         dists = softmax_rows(per_token)
         mean_dist = dists.mean(axis=0)
         mean_logits = per_token.mean(axis=0)
-        activated = []
-        for layer in range(self.config.num_layers):
-            chosen: set[int] = set()
-            for t in range(draws):
-                chosen.update(
-                    top_k_indices(dists[t, layer], self.config.top_k).tolist()
-                )
-            activated.append(np.array(sorted(chosen), dtype=np.int64))
-        return SampledIteration(mean_dist, tuple(activated), mean_logits)
+        k = self.config.top_k
+        num_layers, num_experts = arch.shape
+        if k >= num_experts:
+            everyone = np.arange(num_experts)
+            return SampledIteration(
+                mean_dist, (everyone,) * num_layers, mean_logits
+            )
+        # One partition over every (draw, layer) row, scattered into a
+        # per-layer union mask whose nonzero indices come back sorted.
+        top = np.argpartition(dists, -k, axis=-1)[..., -k:]
+        union = np.zeros((num_layers, num_experts), dtype=bool)
+        union[np.arange(num_layers)[None, :, None], top] = True
+        activated = tuple(
+            np.flatnonzero(row).astype(np.int64) for row in union
+        )
+        return SampledIteration(mean_dist, activated, mean_logits)
 
     def speculate(
         self,

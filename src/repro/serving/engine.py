@@ -564,8 +564,12 @@ class ServingEngine:
         The nearest ready resident expert of the same layer stands in (the
         SMoE-style fallback); when none is resident the activation is
         served by the always-on shared path.  Either way the token is
-        counted as degraded and no transfer is waited on.
+        counted as degraded and no transfer is waited on.  The substitute
+        only feeds the event detail, so without a sink it is not searched.
         """
+        report.degraded_tokens += 1
+        if self._recorder is None and self._telemetry is None:
+            return
         candidates = [
             e
             for e in self.pool.resident_experts()
@@ -577,7 +581,6 @@ class ServingEngine:
                 candidates,
                 key=lambda e: (abs(e.expert - expert.expert), e.expert),
             )
-        report.degraded_tokens += 1
         self._emit(
             EventKind.DEGRADED_SERVE,
             layer=layer,

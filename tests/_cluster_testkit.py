@@ -45,10 +45,12 @@ def tiny_world(seed: int = 0) -> World:
     profile = tiny_profile(model_config)
     requests = make_dataset(profile, 14, seed=seed + 1)
     warm, test = warm_test_split(requests, 0.7, seed=seed + 2)
-    traces = collect_history(MoEModel(model_config, seed=seed), warm)
+    model = MoEModel(model_config, seed=seed)
+    traces = collect_history(model, warm)
     return World(
         config=config,
         model_config=model_config,
+        model=model,
         warm_traces=traces,
         test_requests=test[:4],
     )

@@ -99,3 +99,44 @@ class TestRunSystem:
         budget = 24 * small_world.model_config.expert_bytes
         report = run_system(small_world, "fmoe", cache_budget_bytes=budget)
         assert report.peak_cache_bytes <= budget
+
+
+class TestSharedModelIsolation:
+    """Engines built from one world share its gate but not their patches."""
+
+    def test_instrumenting_one_engine_leaves_the_other_unwrapped(self):
+        from repro.experiments.common import make_engine
+        from repro.obs import PhaseTimer
+        from tests._cluster_testkit import tiny_world
+
+        world = tiny_world()
+        timed = make_engine(world, "fmoe")
+        plain = make_engine(world, "fmoe")
+        assert timed.model is not plain.model
+        assert timed.model.gate is plain.model.gate is world.model.gate
+        PhaseTimer().instrument_engine(timed)
+        assert "start_session" in vars(timed.model)
+        assert "start_session" not in vars(plain.model)
+        assert "start_session" not in vars(world.model)
+
+    def test_gate_arrays_reject_writes(self):
+        import numpy as np
+
+        from tests._cluster_testkit import tiny_world
+
+        gate = tiny_world().fresh_model().gate
+        for array in (gate._archetypes, gate._prompt_projection):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        with pytest.raises(ValueError):
+            gate.archetype_logits(0, 0)[0, 0] = np.inf
+
+    def test_profile_repeats_do_not_stack_wrappers(self):
+        from repro.obs import run_profile
+        from tests._cluster_testkit import tiny_world
+
+        once = run_profile(world=tiny_world(), repeats=1)
+        thrice = run_profile(world=tiny_world(), repeats=3)
+        assert once["iterations"] > 0
+        assert thrice["iterations"] == 3 * once["iterations"]
+        assert thrice["requests"] == 3 * once["requests"]

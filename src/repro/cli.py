@@ -398,55 +398,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_engine_bench(args: argparse.Namespace) -> int:
-    """Benchmark the columnar engine core against the scalar reference."""
-    from repro.obs.enginebench import (
-        DEFAULT_BATCH_SIZES,
-        DEFAULT_WORLDS,
-        check_engine_bench_payload,
-        run_engine_bench,
-        write_engine_bench,
-    )
-
-    worlds = DEFAULT_WORLDS
-    if args.models:
-        worlds = tuple(w for w in DEFAULT_WORLDS if w[0] in args.models)
-        unknown = set(args.models) - {w[0] for w in DEFAULT_WORLDS}
-        if unknown:
-            print(f"unknown model(s): {', '.join(sorted(unknown))}")
-            return 2
-    repeats = args.repeats
-    if args.quick:
-        # Keep the repeats (best-of-N absorbs shared-runner noise; a
-        # single timing can undershoot the floor) but trim the grid to
-        # the batch-1 cell.
-        batch_sizes = tuple(args.batch_sizes or (1,))
-    else:
-        batch_sizes = tuple(args.batch_sizes or DEFAULT_BATCH_SIZES)
-    payload = run_engine_bench(
-        worlds=worlds, batch_sizes=batch_sizes, repeats=repeats
-    )
-    bench_path = args.bench_out or "benchmarks/BENCH_engine.json"
-    write_engine_bench(payload, bench_path)
-    for model, block in payload["models"].items():
-        for batch_size, cell in block["by_batch_size"].items():
-            parity = "ok" if cell["reports_identical"] else "DIFFER"
-            print(
-                f"{model:14s} B={batch_size:>3s} "
-                f"columnar {cell['columnar_rps']:7.2f} req/s vs "
-                f"scalar {cell['scalar_reference_rps']:7.2f} req/s = "
-                f"{cell['speedup']:5.2f}x (reports {parity})"
-            )
-    print(f"best speedup {payload['max_speedup']:.2f}x")
-    print(f"wrote {bench_path}")
-    problems = check_engine_bench_payload(payload, args.min_speedup)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        return 1
-    return 0
-
-
 def cmd_grid(args: argparse.Namespace) -> int:
     """Sweep (model, dataset, system, budget) grids to CSV."""
     from repro.experiments.grid import grid_to_csv, run_grid
@@ -1343,50 +1294,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail (exit 1) below this simulated-requests/sec floor",
     )
     p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser(
-        "engine-bench",
-        help="benchmark the columnar engine core against the scalar "
-        "reference interpreter (writes BENCH_engine.json)",
-    )
-    p.add_argument(
-        "--models",
-        nargs="*",
-        default=None,
-        help="subset of default benchmark models (default: both)",
-    )
-    p.add_argument(
-        "--batch-sizes",
-        nargs="*",
-        type=int,
-        default=None,
-        help="batch sizes to sweep (default 1 8 32; --quick default 1)",
-    )
-    p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="serving passes per cell; best wall time wins",
-    )
-    p.add_argument(
-        "--quick",
-        action="store_true",
-        help="batch size 1 only (the CI smoke mode)",
-    )
-    p.add_argument(
-        "--bench-out",
-        default=None,
-        help="where to write the payload "
-        "(default benchmarks/BENCH_engine.json)",
-    )
-    p.add_argument(
-        "--min-speedup",
-        type=float,
-        default=0.0,
-        help="fail (exit 1) when the best columnar-vs-scalar speedup "
-        "is below this floor",
-    )
-    p.set_defaults(func=cmd_engine_bench)
 
     p = sub.add_parser(
         "journeys",

@@ -87,10 +87,6 @@ class ExpertMapMatcher:
         """Start an O(J·C)-per-layer trajectory match for one iteration."""
         return IncrementalTrajectoryMatch(self.store, batch_size)
 
-    def reference_session(self, batch_size: int) -> "ReferenceTrajectoryMatch":
-        """Start the naive full-refold trajectory match (scalar core)."""
-        return ReferenceTrajectoryMatch(self.store, batch_size)
-
     def trajectory_query(
         self, observed: np.ndarray
     ) -> "CachedTrajectoryQuery | None":
@@ -232,61 +228,3 @@ class IncrementalTrajectoryMatch:
             scores=scores[np.arange(self.batch_size), best],
         )
 
-
-class ReferenceTrajectoryMatch:
-    """The naive per-layer full-prefix trajectory search.
-
-    This is the straightforward reading of the paper's Eq. 5: every layer,
-    re-match the entire observed prefix against every stored map —
-    O(C·l·J) work at layer ``l``, O(C·L²·J) per iteration.  It is the
-    scalar reference interpreter the engine benchmark and the parity suite
-    compare the columnar core against, and it is *bitwise identical* to
-    :class:`IncrementalTrajectoryMatch` by construction: the refold adds
-    the same per-layer ``rows @ stored.T`` products and squared-norm
-    reductions in the same left-to-right order the incremental session
-    folds them, so every float lands on the identical value.
-    """
-
-    def __init__(self, store: ExpertMapStore, batch_size: int) -> None:
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.store = store
-        self.batch_size = batch_size
-        self.layers_observed = 0
-        self._rows: list[np.ndarray] = []
-
-    def observe_layer(self, rows: np.ndarray) -> MatchResult | None:
-        """Fold in one layer's gate outputs, then re-match from scratch."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
-        if rows.shape[0] != self.batch_size:
-            raise ValueError(
-                f"expected batch {self.batch_size}, got {rows.shape[0]}"
-            )
-        if self.layers_observed >= self.store.num_layers:
-            raise ValueError("all layers already observed")
-        size = len(self.store)
-        if size == 0:
-            return None
-        self._rows.append(rows)
-        self.layers_observed += 1
-        experts = self.store.num_experts
-        dots = np.zeros((self.batch_size, size))
-        query_sq = np.zeros(self.batch_size)
-        stored_sq = np.zeros(size)
-        for layer, observed in enumerate(self._rows):
-            # Read the store the way a straightforward implementation
-            # would: the float32 maps as stored, upcast for the math
-            # (exact, so the scores stay bitwise identical to the
-            # incremental session's pre-flattened float64 cache).
-            stored_rows = self.store._maps[:size, layer].astype(np.float64)
-            dots += observed @ stored_rows.T
-            query_sq += (observed**2).sum(axis=1)
-            stored_sq += (stored_rows**2).sum(axis=1)
-        denom = np.sqrt(np.outer(query_sq, stored_sq))
-        denom[denom == 0.0] = 1.0
-        scores = dots / denom
-        best = np.argmax(scores, axis=1)
-        return MatchResult(
-            indices=best,
-            scores=scores[np.arange(self.batch_size), best],
-        )

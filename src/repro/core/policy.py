@@ -33,23 +33,16 @@ from repro.core.cache import FMoECacheScorer
 from repro.core.matcher import (
     ExpertMapMatcher,
     IncrementalTrajectoryMatch,
-    ReferenceTrajectoryMatch,
-    MatchResult,
 )
 from repro.core.overheads import OverheadModel
 from repro.core.prefetch import (
-    prefetch_priority,
     select_prefetch_counts,
     select_prefetch_experts,
     selection_threshold,
 )
 from repro.core.store import ExpertMapStore
 from repro.errors import ConfigError
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
 
@@ -104,10 +97,7 @@ class FMoEPolicy(BasePolicy):
         self.store: ExpertMapStore | None = None
         self.matcher: ExpertMapMatcher | None = None
         self.scorer: FMoECacheScorer | None = None
-        self._trajectory_session: (
-            IncrementalTrajectoryMatch | ReferenceTrajectoryMatch | None
-        ) = None
-        self._columnar = False
+        self._trajectory_session: IncrementalTrajectoryMatch | None = None
         self.semantic_score_log: list[float] = []
         self.trajectory_score_log: list[float] = []
 
@@ -117,7 +107,6 @@ class FMoEPolicy(BasePolicy):
 
     def attach(self, engine) -> None:
         super().attach(engine)
-        self._columnar = bool(getattr(engine, "columnar", False))
         config = engine.config
         distance = min(self.prefetch_distance, config.num_layers)
         if self._shared_store is not None:
@@ -179,26 +168,6 @@ class FMoEPolicy(BasePolicy):
         top = np.argsort(row)[::-1][: self.config.top_k]
         return top
 
-    def _instructions_for_layer(
-        self,
-        row: np.ndarray,
-        score: float,
-        target_layer: int,
-        current_layer: int,
-    ) -> list[PrefetchInstruction]:
-        assert self.scorer is not None
-        self.scorer.update_prediction_row(target_layer, row)
-        selected = self._select(row, score)
-        return [
-            PrefetchInstruction(
-                expert=ExpertId(target_layer, int(j)),
-                priority=prefetch_priority(
-                    float(row[j]), target_layer, current_layer
-                ),
-            )
-            for j in selected
-        ]
-
     def _prefetch_block_for_lanes(
         self,
         rows32: np.ndarray,
@@ -206,20 +175,20 @@ class FMoEPolicy(BasePolicy):
         targets: np.ndarray,
         gaps: np.ndarray,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Columnar :meth:`_instructions_for_layer` over N selection lanes.
+        """Prefetch selection over N lanes as one (flat ids, priorities) block.
 
         ``rows32`` is ``(N, J)`` float32 map rows in emission order,
         ``scores``/``targets``/``gaps`` the per-lane match score, target
         layer, and layer gap ``l − l_now``.  Returns (flat ids,
-        priorities): the same experts, in the same lane-major order, with
-        the same ``p / gap`` priorities the scalar path would emit — one
-        argsort/cumsum pass instead of one Python call per lane and one
-        ``PrefetchInstruction`` per expert.
+        priorities): per lane, the experts :meth:`_select` picks for its
+        row and score, in lane-major order, each with priority
+        PRI = p / gap — one argsort/cumsum pass instead of one Python call
+        per lane and one ``PrefetchInstruction`` per expert.
         """
         rows = rows32.astype(np.float64)
         width = rows.shape[1]
         if rows.shape[0] == 1:
-            # Single lane (unbatched iterations): the scalar selector is
+            # Single lane (unbatched iterations): the per-row selector is
             # the batched one's per-lane identity and skips the lane
             # bookkeeping below.
             row = rows[0]
@@ -253,21 +222,12 @@ class FMoEPolicy(BasePolicy):
         assert self.store is not None and self.matcher is not None
         assert self.scorer is not None
         self.scorer.reset_predictions()
-        # One trajectory match per iteration.  The columnar core streams it
-        # (each layer's gate output folds in incrementally, O(C·J) per
-        # layer); the scalar reference core re-matches the full prefix from
-        # scratch every layer — the naive Eq. 5 interpreter the benchmark
-        # and parity suite compare against, bitwise identical by
-        # construction.
+        # One trajectory match per iteration, streamed: each layer's gate
+        # output folds in incrementally, O(C·J) per layer.
         if self.use_trajectory and not self.store.is_empty:
-            if self._columnar:
-                self._trajectory_session = self.matcher.incremental_session(
-                    ctx.batch_size
-                )
-            else:
-                self._trajectory_session = self.matcher.reference_session(
-                    ctx.batch_size
-                )
+            self._trajectory_session = self.matcher.incremental_session(
+                ctx.batch_size
+            )
         else:
             self._trajectory_session = None
         action = PolicyAction(
@@ -288,36 +248,22 @@ class FMoEPolicy(BasePolicy):
             if self.use_trajectory
             else self.config.num_layers
         )
-        if self._columnar:
-            # One (B, horizon, J) gather covers every (request, layer)
-            # lane; the legacy b-major/layer-inner emission order is the
-            # row-major reshape.  Prediction merges are an elementwise
-            # maximum, so folding the batch first is order-independent.
-            matched = self.store.gather_maps(result.indices)[:, :horizon, :]
-            merged = matched.max(axis=0)
-            for layer in range(horizon):
-                self.scorer.update_prediction_row(layer, merged[layer])
-            lanes = matched.reshape(-1, self.config.experts_per_layer)
-            layers = np.tile(np.arange(horizon), ctx.batch_size)
-            action.prefetch_block = self._prefetch_block_for_lanes(
-                lanes,
-                np.repeat(result.scores, horizon),
-                layers,
-                layers + 1,
-            )
-            action.async_overheads = {
-                "map_match": self.matcher.match_seconds()
-            }
-            return action
-        instructions: list[PrefetchInstruction] = []
-        for b in range(ctx.batch_size):
-            score = float(result.scores[b])
-            for layer in range(horizon):
-                row = self.matcher.matched_row(result, b, layer)
-                instructions.extend(
-                    self._instructions_for_layer(row, score, layer, -1)
-                )
-        action.prefetch = instructions
+        # One (B, horizon, J) gather covers every (request, layer) lane;
+        # the b-major/layer-inner emission order is the row-major reshape.
+        # Prediction merges are an elementwise maximum, so folding the
+        # batch first is order-independent.
+        matched = self.store.gather_maps(result.indices)[:, :horizon, :]
+        merged = matched.max(axis=0)
+        for layer in range(horizon):
+            self.scorer.update_prediction_row(layer, merged[layer])
+        lanes = matched.reshape(-1, self.config.experts_per_layer)
+        layers = np.tile(np.arange(horizon), ctx.batch_size)
+        action.prefetch_block = self._prefetch_block_for_lanes(
+            lanes,
+            np.repeat(result.scores, horizon),
+            layers,
+            layers + 1,
+        )
         action.async_overheads = {"map_match": self.matcher.match_seconds()}
         return action
 
@@ -340,45 +286,31 @@ class FMoEPolicy(BasePolicy):
         if result is None or target >= self.config.num_layers:
             return PolicyAction()
         self.trajectory_score_log.extend(float(s) for s in result.scores)
-        if self._columnar:
-            if ctx.batch_size == 1:
-                # Unbatched iterations skip the gather: one matched row,
-                # one selection, flat ids built in place.
-                row32 = self.matcher.matched_row(result, 0, target)
-                self.scorer.update_prediction_row(target, row32)
-                row = row32.astype(np.float64)
-                selected = self._select(row, float(result.scores[0]))
-                flat = target * self.config.experts_per_layer + selected
-                return PolicyAction(
-                    prefetch_block=(
-                        flat.astype(np.int64),
-                        row[selected] / (target - layer),
-                    ),
-                    async_overheads={
-                        "map_match": self.matcher.match_seconds()
-                    },
-                )
-            rows = self.store.gather_rows(result.indices, target)
-            self.scorer.update_prediction_row(target, rows.max(axis=0))
-            shape = np.full(ctx.batch_size, target, dtype=np.int64)
+        if ctx.batch_size == 1:
+            # Unbatched iterations skip the gather: one matched row, one
+            # selection, flat ids built in place.
+            row32 = self.matcher.matched_row(result, 0, target)
+            self.scorer.update_prediction_row(target, row32)
+            row = row32.astype(np.float64)
+            selected = self._select(row, float(result.scores[0]))
+            flat = target * self.config.experts_per_layer + selected
             return PolicyAction(
-                prefetch_block=self._prefetch_block_for_lanes(
-                    rows,
-                    result.scores,
-                    shape,
-                    shape - layer,
+                prefetch_block=(
+                    flat.astype(np.int64),
+                    row[selected] / (target - layer),
                 ),
                 async_overheads={"map_match": self.matcher.match_seconds()},
             )
-        instructions: list[PrefetchInstruction] = []
-        for b in range(ctx.batch_size):
-            score = float(result.scores[b])
-            row = self.matcher.matched_row(result, b, target)
-            instructions.extend(
-                self._instructions_for_layer(row, score, target, layer)
-            )
+        rows = self.store.gather_rows(result.indices, target)
+        self.scorer.update_prediction_row(target, rows.max(axis=0))
+        shape = np.full(ctx.batch_size, target, dtype=np.int64)
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=self._prefetch_block_for_lanes(
+                rows,
+                result.scores,
+                shape,
+                shape - layer,
+            ),
             async_overheads={"map_match": self.matcher.match_seconds()},
         )
 
@@ -410,21 +342,13 @@ class FMoEPolicy(BasePolicy):
         assert self.scorer is not None
         return self.scorer.eviction_priority(expert, now)
 
-    def score_evictions(
-        self, flat: np.ndarray, now: float
-    ) -> np.ndarray | None:
-        """Batched eviction scores over flat expert indices.
-
-        Only the fMoE 1/(p·freq) algorithm has a dense array form; the
-        LRU/LFU ablations return None so the pool falls back to the
-        scalar :meth:`eviction_priority` loop.
-        """
-        if self.eviction_algorithm != "fmoe" or self.scorer is None:
-            return None
-        return self.scorer.score_evictions(flat, now)
-
     def eviction_score_matrix(self, now: float) -> np.ndarray | None:
-        """Dense flat ``(L·J,)`` score matrix for the pool's victim sort."""
+        """Dense flat ``(L·J,)`` score matrix for the pool's victim sort.
+
+        Only the fMoE 1/(p·freq) algorithm has a dense form; the LRU/LFU
+        ablations return None so the pool sorts candidates by
+        :meth:`eviction_priority`.
+        """
         if self.eviction_algorithm != "fmoe" or self.scorer is None:
             return None
         return self.scorer.score_matrix()

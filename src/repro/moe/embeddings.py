@@ -89,8 +89,27 @@ def cosine_similarity_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    a_norm = np.linalg.norm(a, axis=1, keepdims=True)
-    b_norm = np.linalg.norm(b, axis=1, keepdims=True)
-    a_norm[a_norm == 0.0] = 1.0
-    b_norm[b_norm == 0.0] = 1.0
-    return (a / a_norm) @ (b / b_norm).T
+    return _unit_rows(a) @ _unit_rows(b).T
+
+
+# Below this norm a row's squared entries fall into float64 subnormals and
+# ``np.linalg.norm`` loses precision (or underflows to zero outright).
+_MIN_EXACT_NORM = float(np.sqrt(np.finfo(np.float64).tiny))
+
+
+def _unit_rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with each nonzero row scaled to unit norm; zero rows stay zero.
+
+    Rows too small to square exactly are first divided by their largest
+    magnitude; all other rows take the plain ``x / ||x||`` path.
+    """
+    norm = np.linalg.norm(x, axis=1, keepdims=True)
+    small = norm[:, 0] < _MIN_EXACT_NORM
+    if small.any():
+        peak = np.abs(x[small]).max(axis=1, keepdims=True)
+        peak[peak == 0.0] = 1.0
+        x = x.copy()
+        x[small] = x[small] / peak
+        norm[small] = np.linalg.norm(x[small], axis=1, keepdims=True)
+    norm[norm == 0.0] = 1.0
+    return x / norm

@@ -27,16 +27,10 @@ The cluster-scale observability plane builds on those:
   alerting over the attainment stream (``repro slo``).
 - :mod:`repro.obs.profile` — a host-time hot-loop profiler producing the
   ``BENCH_profile.json`` regression baseline (``repro profile``).
-- :mod:`repro.obs.enginebench` — columnar-vs-scalar-reference engine
-  throughput benchmark producing ``BENCH_engine.json``
-  (``repro engine-bench``).
-"""
 
-from repro.obs.enginebench import (
-    check_engine_bench_payload,
-    run_engine_bench,
-    write_engine_bench,
-)
+Engine speed across changes is measured by the repository benchmark
+(``perfbench/``), not by this package.
+"""
 
 from repro.obs.journey import (
     AttemptRecord,
@@ -94,7 +88,6 @@ __all__ = [
     "TieredSLOTracker",
     "Telemetry",
     "Tracer",
-    "check_engine_bench_payload",
     "check_profile_payload",
     "default_burn_rules",
     "log_buckets",
@@ -102,8 +95,6 @@ __all__ = [
     "read_journeys_jsonl",
     "render_journeys",
     "render_slo_summary",
-    "run_engine_bench",
     "run_profile",
-    "write_engine_bench",
     "write_profile",
 ]

@@ -2,13 +2,12 @@
 
 Everything else in ``repro.obs`` observes the *virtual* clock; this
 module measures how much *host* CPU time one simulated serving run
-costs, split across the hot-loop phases the columnar-engine rewrite
-(ROADMAP open item #1) will attack:
+costs, split across the engine's hot-loop phases:
 
 - ``gate_draws``               — ``session.next_iteration()`` routing draws;
 - ``hit_miss_classification``  — ``engine._snapshot_hits`` at the gate;
 - ``transfer_charging``        — pool ``load_on_demand`` / ``prefetch``
-  and columnar block issue;
+  and prefetch-block issue;
 - ``eviction_scoring``         — ``pool._make_space`` victim selection;
 - ``policy_hooks``             — the policy's iteration/gate callbacks;
 - ``other``                    — everything else in the serve loop.
@@ -20,8 +19,8 @@ method wrapping on a throwaway engine — the same patching idiom the
 mutant harness uses — so nothing leaks into other runs.  Phase
 ``calls`` count *logical scalar operations*, not Python invocations:
 one batched snapshot or prefetch block reports one call per expert it
-covered, so counts stay comparable across the columnar and scalar
-cores.
+covered, so a block and the equivalent ``PrefetchInstruction`` list
+count the same.
 
 ``run_profile`` executes a full world-build + warm + serve cycle under
 the timer and produces the ``BENCH_profile.json`` payload: per-phase
@@ -92,9 +91,8 @@ class PhaseTimer:
         ``count`` is how many *logical scalar operations* the window
         covered.  Batched phases (one array invocation classifying a
         whole expert set, one block prefetch charging many transfers)
-        pass the element count so ``calls`` stays comparable between
-        the columnar core and the scalar reference — calls measure
-        work, not Python function invocations.
+        pass the element count — calls measure work, not Python
+        function invocations.
         """
         now = time.perf_counter()
         phase, resumed_at = self._stack.pop()
@@ -144,12 +142,11 @@ class PhaseTimer:
             return session
 
         engine.model.start_session = timed_start_session
-        # Batched phases report logical scalar-operation counts so the
-        # columnar core and the scalar reference profile comparably: one
+        # Batched phases report logical per-expert operation counts: one
         # snapshot call classifies every expert the layer touches, and
         # one prefetch block charges one transfer per block entry
-        # (entries already tracked count too — the scalar path pays a
-        # pool call for its "present" early return).
+        # (entries already tracked count too — an instruction list pays
+        # a pool call for each "present" early return).
         self.wrap(
             engine,
             "_snapshot_hits",

@@ -67,7 +67,7 @@ class PolicyAction:
     issued by this action has landed (Mixtral-Offloading, MoE-Infinity)."""
 
     prefetch_block: tuple[np.ndarray, np.ndarray] | None = None
-    """Columnar alternative to ``prefetch``: a pair of equal-length arrays
+    """Array form of ``prefetch``: a pair of equal-length arrays
     (flat expert ids ``layer * J + j`` as int64, priorities as float64).
     The engine issues the block in stable descending-priority order —
     byte-identical to the equivalent instruction list, without one
@@ -201,16 +201,11 @@ class ServingEngine:
         placement: str = "round-robin",
         faults: FaultSchedule | None = None,
         slo: SLOConfig | None = None,
-        columnar: bool = True,
     ) -> None:
         self.model = model
         self.config = model.config
         self.policy = policy
         self.hardware = hardware
-        self.columnar = columnar
-        """Route the hot loop through the batched (array-at-a-time) code
-        paths.  Results are byte-identical to the scalar paths; ``False``
-        keeps the legacy per-expert loops (the benchmark baseline)."""
         # An all-zero schedule must not perturb the healthy path, so it is
         # dropped entirely (no extra arithmetic anywhere).
         self.faults = (
@@ -227,7 +222,6 @@ class ServingEngine:
             cache_budget_bytes,
             placement=placement,
             faults=self.faults,
-            columnar=columnar,
         )
         self.pool.set_eviction_oracle(policy)
         self.pool.evict_listener = lambda expert: self._emit(
@@ -752,7 +746,7 @@ class ServingEngine:
 
     def _layer_union(self, ctx: IterationContext, layer: int) -> list[ExpertId]:
         activated = ctx.activated_at(layer)
-        if self.columnar and len(activated) == 1:
+        if len(activated) == 1:
             # Routing arrays are already sorted and unique per request, so
             # a single-request union needs no set round-trip.
             return [ExpertId(layer, int(j)) for j in activated[0]]
@@ -765,14 +759,7 @@ class ServingEngine:
         self, ctx: IterationContext, layer: int
     ) -> dict[ExpertId, bool]:
         experts = self._layer_union(ctx, layer)
-        if self.columnar:
-            return dict(
-                zip(experts, self.pool.ready_flags(experts, self._now))
-            )
-        return {
-            expert: self.pool.is_ready(expert, self._now)
-            for expert in experts
-        }
+        return dict(zip(experts, self.pool.ready_flags(experts, self._now)))
 
     def _serve_layer(
         self,
@@ -793,8 +780,7 @@ class ServingEngine:
         breakdown = report.breakdown
         telemetry = self._telemetry
         if (
-            self.columnar
-            and self._recorder is None
+            self._recorder is None
             and telemetry is None
             and all(hits_at_gate.values())
         ):
@@ -803,7 +789,7 @@ class ServingEngine:
             # whole layer because the pool protects them, so the per-expert
             # readiness re-check, event emission, and stall handling are
             # provably no-ops.  Serve callbacks and the virtual clock are
-            # folded locally in the same left-to-right order as the scalar
+            # folded locally in the same left-to-right order as the general
             # loop, so every float lands bitwise identically.
             count = len(experts)
             if count:
@@ -1001,7 +987,7 @@ class ServingEngine:
         breakdown: LatencyBreakdown,
         issue_time: float,
     ) -> None:
-        """Issue a columnar prefetch block in descending-priority order.
+        """Issue a prefetch block in descending-priority order.
 
         Byte-identical to routing the same experts through the instruction
         list: the stable argsort of negated priorities reproduces Python's

@@ -38,15 +38,15 @@ from repro.types import ExpertId
 class EvictionOracle(Protocol):
     """Scores eviction candidates; higher scores are evicted first.
 
-    An oracle may additionally expose the batched form
+    An oracle may additionally expose the dense form
 
-        ``score_evictions(flat: np.ndarray, now: float) -> np.ndarray | None``
+        ``eviction_score_matrix(now: float) -> np.ndarray | None``
 
-    taking flat ``layer * experts_per_layer + expert`` indices and
-    returning one float64 score per candidate (or None to decline).  The
-    pool uses it to score a whole candidate set in one call; oracles
-    without it (third-party scalar policies) transparently fall back to
-    the per-candidate :meth:`eviction_priority` loop.
+    returning one float64 score per expert, indexed by the flat id
+    ``layer * experts_per_layer + expert`` (or None to decline).  The pool
+    reads victims' scores from it with array lookups; oracles without it,
+    or returning None (LRU/LFU ablations, the baseline policies), fall
+    back to sorting candidates by :meth:`eviction_priority`.
     """
 
     def eviction_priority(self, expert: ExpertId, now: float) -> float:
@@ -108,7 +108,6 @@ class ExpertPool:
         placement: str = "round-robin",
         faults: FaultSchedule | None = None,
         retry_policy: RetryPolicy | None = None,
-        columnar: bool = True,
     ) -> None:
         if cache_budget_bytes <= 0:
             raise ConfigError("cache budget must be > 0")
@@ -147,11 +146,6 @@ class ExpertPool:
         # placement function alone cannot recover it once a device has
         # failed and later loads were re-homed onto survivors.
         self._home: dict[ExpertId, int] = {}
-        self.columnar = columnar
-        """When False, eviction scoring ignores any dense score matrix the
-        oracle exposes and calls ``eviction_priority`` once per candidate —
-        the scalar reference interpreter the engine benchmark compares
-        against."""
         self._oracle: EvictionOracle = _EvictNothing()
         self.protected: set[ExpertId] = set()
         self.stats = PoolStats()
@@ -237,7 +231,7 @@ class ExpertPool:
 
         Reads the same live task objects, so an urgent load that pauses a
         queued prefetch delays its visibility here exactly as it does for
-        the scalar query.
+        the single-expert query.
         """
         tasks = self._tasks
         flags: list[bool] = []
@@ -488,20 +482,17 @@ class ExpertPool:
         # per-candidate method-call overhead of ``is_ready`` matters.
         protected = self.protected
         tasks = self._tasks
-        # Columnar scoring when the oracle exposes its dense score
-        # matrix: victim order comes from O(1) array lookups instead of
-        # one Python scoring call per candidate.  Small candidate sets
-        # sort with the matrix as the key function (numpy per-op overhead
-        # would dominate); large ones go through one stable argsort of
-        # the gathered scores.  ``sorted(key=score, reverse=True)`` and a
+        # Dense scoring when the oracle exposes its score matrix: victim
+        # order comes from O(1) array lookups instead of one Python
+        # scoring call per candidate.  Small candidate sets sort with the
+        # matrix as the key function (numpy per-op overhead would
+        # dominate); large ones go through one stable argsort of the
+        # gathered scores.  ``sorted(key=score, reverse=True)`` and a
         # stable argsort of the negated scores order ties identically
         # (original candidate order), so every path evicts the same
-        # victims as the scalar loop.
-        matrix = None
-        if self.columnar:
-            dense = getattr(self._oracle, "eviction_score_matrix", None)
-            if dense is not None:
-                matrix = dense(now)
+        # victims as the per-candidate ``eviction_priority`` sort.
+        dense = getattr(self._oracle, "eviction_score_matrix", None)
+        matrix = dense(now) if dense is not None else None
         if (
             matrix is not None
             and device.free_bytes() + self._expert_bytes >= needed_bytes

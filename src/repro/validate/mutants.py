@@ -69,8 +69,8 @@ def _phantom_ready(engine: "ServingEngine") -> None:
     """The cache vouches for experts it never loaded."""
     pool = engine.pool
     pool.is_ready = lambda expert, now: True
-    # The columnar engine asks for readiness in one batched call; the lie
-    # must cover both query forms or the mutant only fools the scalar path.
+    # The engine snapshots gate-time readiness in one batched call and
+    # re-checks single experts later; the lie must cover both query forms.
     pool.ready_flags = lambda experts, now: [True] * len(experts)
 
 

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matcher import ExpertMapMatcher
 from repro.core.store import ExpertMapStore
 from repro.moe.gating import softmax_rows
+
+from tests._reference_core import ReferenceTrajectoryMatch
 
 
 @pytest.fixture
@@ -44,6 +48,50 @@ class TestEquivalence:
             result = session.observe_layer(target[:, layer, :])
         assert int(result.indices[0]) == 5
         assert result.scores[0] == pytest.approx(1.0, abs=1e-5)
+
+
+class TestReferenceEquivalence:
+    @given(
+        seed=st.integers(0, 2**16),
+        layers=st.integers(1, 6),
+        experts=st.integers(2, 8),
+        records=st.integers(1, 20),
+        capacity=st.integers(1, 12),
+        batch_size=st.integers(1, 3),
+        replay=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise_equal_to_full_prefix_refold(
+        self, seed, layers, experts, records, capacity, batch_size, replay
+    ):
+        """The streamed session equals the naive Eq. 5 refold, bit for bit.
+
+        ``replay`` queries with stored maps (exact-prefix ties); stores
+        past capacity exercise slot replacement.
+        """
+        rng = np.random.default_rng(seed)
+        store = ExpertMapStore(
+            capacity, layers, experts, 4, min(2, layers)
+        )
+        for _ in range(records):
+            store.add(
+                rng.standard_normal(4),
+                softmax_rows(rng.standard_normal((layers, experts))),
+            )
+        if replay:
+            slots = rng.integers(0, len(store), batch_size)
+            query = store.gather_maps(slots).astype(np.float64)
+        else:
+            query = softmax_rows(
+                rng.standard_normal((batch_size, layers, experts))
+            )
+        streamed = ExpertMapMatcher(store).incremental_session(batch_size)
+        reference = ReferenceTrajectoryMatch(store, batch_size)
+        for layer in range(layers):
+            got = streamed.observe_layer(query[:, layer, :])
+            want = reference.observe_layer(query[:, layer, :])
+            assert np.array_equal(got.indices, want.indices), layer
+            assert np.array_equal(got.scores, want.scores), layer
 
 
 class TestGuards:

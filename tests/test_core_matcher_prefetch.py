@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matcher import ExpertMapMatcher
 from repro.core.prefetch import (
     prefetch_priority,
+    select_prefetch_counts,
     select_prefetch_experts,
     selection_threshold,
 )
@@ -185,6 +188,52 @@ class TestSelectPrefetchExperts:
             select_prefetch_experts(np.ones(4) / 4, 1.5, 1)
         with pytest.raises(ConfigError):
             select_prefetch_experts(np.ones(4) / 4, 0.5, 0)
+
+
+@st.composite
+def _selection_lanes(draw):
+    """Rows drawn from a few levels (ties), widths 2..8, every top_k."""
+    lanes = draw(st.integers(1, 5))
+    width = draw(st.integers(2, 8))
+    levels = draw(
+        st.lists(
+            st.integers(0, 3), min_size=lanes * width, max_size=lanes * width
+        )
+    )
+    rows = np.array(levels, dtype=np.float64).reshape(lanes, width)
+    rows /= np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
+    scores = np.array(
+        draw(
+            st.lists(
+                st.sampled_from((-1.0, 0.0, 0.25, 0.5, 0.9, 1.0))
+                | st.floats(-1.0, 1.0),
+                min_size=lanes,
+                max_size=lanes,
+            )
+        )
+    )
+    top_k = draw(st.sampled_from((1, width - 1, width)) | st.integers(1, width))
+    max_count = draw(st.none() | st.integers(1, width + 2))
+    return rows, scores, top_k, max_count
+
+
+class TestSelectPrefetchCounts:
+    @given(lanes=_selection_lanes())
+    @settings(max_examples=200, deadline=None)
+    def test_each_lane_equals_the_per_row_selector(self, lanes):
+        """Lane ``i``'s ``order[i, :counts[i]]`` is the per-row selection."""
+        rows, scores, top_k, max_count = lanes
+        order, counts = select_prefetch_counts(
+            rows, np.clip(1.0 - scores, 0.0, 1.0), top_k, max_count=max_count
+        )
+        for i in range(rows.shape[0]):
+            expected = select_prefetch_experts(
+                rows[i],
+                selection_threshold(float(scores[i])),
+                top_k,
+                max_count=max_count,
+            )
+            assert np.array_equal(order[i, : counts[i]], expected), i
 
 
 class TestPrefetchPriority:

@@ -1,20 +1,20 @@
-"""Differential parity: the columnar engine core vs the scalar reference.
+"""Differential parity: the engine against independent reference paths.
 
-The columnar rewrite of the serving hot loop is pinned three ways; this
-suite is the differential leg.  ``columnar=False`` swaps in the scalar
-reference interpreter (per-expert readiness probes, per-candidate
-eviction scoring, naive full-prefix trajectory re-matching), and every
-test here demands **byte-identical** serialized reports between the two
-cores — on the committed golden corpus, on hypothesis-generated worlds
-and arrival traces, through fault schedules, and through the cluster
-driver.  The mutant screen re-runs through the columnar core to prove
-the validators kept their teeth across the rewrite.
+The serving hot loop is pinned three ways; this suite is the
+differential leg.  :func:`tests._reference_core.reference_engine` swaps
+in reference paths (naive full-prefix trajectory re-matching,
+per-candidate eviction scoring, instruction-list prefetching, and the
+general serve loop instead of the all-hit fast path), and every test
+here demands **byte-identical** serialized reports between the engine
+and its reference-routed twin — on hypothesis-generated worlds and
+arrival traces, through fault schedules, and through the cluster driver.
+The golden leg holds the engine to the committed corpus byte for byte,
+and the mutant screen proves the validators still have their teeth.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 
 import pytest
@@ -23,13 +23,13 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterSpec, run_cluster
 from repro.experiments.common import run_system
-from repro.serving.engine import ServingEngine
 from repro.serving.export import report_to_dict, report_to_json
 from repro.serving.faults import FaultConfig, FaultSchedule
 from repro.validate.harness import detect_mutant
 from repro.validate.mutants import MUTANTS
 
 from tests._cluster_testkit import arrival_trace, tiny_world
+from tests._reference_core import reference_engine
 from tests._strategies import fleet_shapes
 from tests.golden.corpus import GOLDEN_CASES, load_golden
 
@@ -41,11 +41,15 @@ PARITY_SETTINGS = settings(
 
 
 def _bytes(report) -> str:
-    return report_to_json(report)
+    # The per-layer hit/miss histograms are not serialized; append them so
+    # a fast-path slip in their bookkeeping cannot hide.
+    return report_to_json(report) + repr(
+        (sorted(report.layer_hits.items()), sorted(report.layer_misses.items()))
+    )
 
 
 class TestGoldenParity:
-    """Both cores reproduce the committed golden corpus byte for byte."""
+    """The engine reproduces the committed golden corpus byte for byte."""
 
     @pytest.fixture(scope="class")
     def world_cache(self):
@@ -54,7 +58,7 @@ class TestGoldenParity:
         return WorldCache()
 
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.filename)
-    def test_golden_equals_columnar_equals_scalar(self, case, world_cache):
+    def test_engine_equals_golden_bytes(self, case, world_cache):
         from repro.experiments.common import ExperimentConfig
         from tests.golden.corpus import (
             GOLDEN_NUM_REQUESTS,
@@ -71,30 +75,43 @@ class TestGoldenParity:
         )
         world = world_cache.get(config)
         golden = json.dumps(load_golden(case), sort_keys=True)
-        columnar = json.dumps(
+        served = json.dumps(
             report_to_dict(run_system(world, case.system)), sort_keys=True
         )
-        scalar = json.dumps(
-            report_to_dict(run_system(world, case.system, columnar=False)),
-            sort_keys=True,
-        )
-        assert columnar == golden, f"{case.filename}: columnar core drifted"
-        assert scalar == golden, f"{case.filename}: scalar reference drifted"
+        assert served == golden, f"{case.filename}: engine drifted"
 
 
 class TestPropertyParity:
-    """Generated workloads serve identically through both cores."""
+    """Generated workloads serve identically through the reference paths."""
 
     @PARITY_SETTINGS
-    @given(shape=fleet_shapes(max_replicas=1))
-    def test_bare_engine_parity_over_arrival_traces(self, shape):
+    @given(
+        shape=fleet_shapes(max_replicas=1),
+        per_gpu=st.sampled_from((None, 2, 3)),
+    )
+    def test_bare_engine_parity_over_arrival_traces(self, shape, per_gpu):
+        """``per_gpu`` experts of cache per GPU make victim order count.
+
+        The default tiny-world budget leaves at most one evictable expert
+        per device; two or three per GPU make every eviction a choice
+        (with score ties) between candidates.
+        """
         world = tiny_world(shape["seed"])
         trace = arrival_trace(
             world, n=shape["n"], gap=shape["gap"], seed=shape["seed"]
         )
-        kwargs = dict(requests=trace, respect_arrivals=True)
+        budget = None
+        if per_gpu is not None:
+            budget = (
+                per_gpu
+                * world.config.hardware.num_gpus
+                * world.model_config.expert_bytes
+            )
+        kwargs = dict(
+            requests=trace, respect_arrivals=True, cache_budget_bytes=budget
+        )
         assert _bytes(
-            run_system(world, "fmoe", columnar=False, **kwargs)
+            run_system(world, "fmoe", mutate=reference_engine, **kwargs)
         ) == _bytes(run_system(world, "fmoe", **kwargs))
 
     @PARITY_SETTINGS
@@ -105,7 +122,7 @@ class TestPropertyParity:
         straggler=st.sampled_from((0.0, 0.5)),
     )
     def test_faulted_parity(self, seed, degradation, failure, straggler):
-        """Fault schedules perturb both cores identically."""
+        """Fault schedules perturb the engine and its reference alike."""
         world = tiny_world(seed)
         config = FaultConfig(
             seed=seed,
@@ -115,19 +132,16 @@ class TestPropertyParity:
         )
         reports = [
             run_system(
-                world,
-                "fmoe",
-                faults=FaultSchedule(config),
-                columnar=columnar,
+                world, "fmoe", faults=FaultSchedule(config), mutate=mutate
             )
-            for columnar in (True, False)
+            for mutate in (None, reference_engine)
         ]
         assert _bytes(reports[0]) == _bytes(reports[1])
 
     @PARITY_SETTINGS
     @given(shape=fleet_shapes())
     def test_cluster_parity(self, shape):
-        """The cluster driver is core-agnostic, replica by replica."""
+        """The cluster driver serves identically, replica by replica."""
         world = tiny_world(shape["seed"])
         trace = arrival_trace(
             world, n=shape["n"], gap=shape["gap"], seed=shape["seed"]
@@ -135,31 +149,26 @@ class TestPropertyParity:
         spec = ClusterSpec(
             replicas=shape["replicas"], router=shape["router"]
         )
-        columnar = run_cluster(world, "fmoe", spec, requests=trace)
+        served = run_cluster(world, "fmoe", spec, requests=trace)
         import repro.cluster.driver as driver
         import repro.experiments.common as common
 
+        def make_reference_engine(*args, **kwargs):
+            engine = common.make_engine(*args, **kwargs)
+            reference_engine(engine)
+            return engine
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                driver,
-                "make_engine",
-                lambda *args, **kwargs: common.make_engine(
-                    *args, columnar=False, **kwargs
-                ),
-            )
-            scalar = run_cluster(world, "fmoe", spec, requests=trace)
-        assert _bytes(columnar.aggregate) == _bytes(scalar.aggregate)
+            mp.setattr(driver, "make_engine", make_reference_engine)
+            reference = run_cluster(world, "fmoe", spec, requests=trace)
+        assert _bytes(served.aggregate) == _bytes(reference.aggregate)
 
 
-class TestMutantsThroughColumnarCore:
-    """The batched core did not blunt the validators."""
-
-    def test_columnar_is_the_default_core(self):
-        signature = inspect.signature(ServingEngine.__init__)
-        assert signature.parameters["columnar"].default is True
+class TestMutantScreen:
+    """The validators catch every registered defect through the engine."""
 
     @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
-    def test_mutant_detected_through_batched_core(self, mutant):
+    def test_mutant_detected(self, mutant):
         world = tiny_world()
         total = world.model_config.total_expert_bytes
         budget = (
@@ -172,6 +181,6 @@ class TestMutantsThroughColumnarCore:
         )
         result = detect_mutant(pressured, mutant)
         assert result.flagged, (
-            f"mutant {mutant.name!r} survived the columnar core "
+            f"mutant {mutant.name!r} survived the engine "
             f"(expected detector: {mutant.expected_detector})"
         )

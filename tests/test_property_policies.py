@@ -17,10 +17,15 @@ from repro.moe.model import MoEModel
 from repro.serving.engine import ServingEngine
 from repro.serving.hardware import HardwareConfig
 from repro.serving.request import Request
+from repro.types import ExpertId
 
 
 class InstructionAuditor(BasePolicy):
-    """Wraps a policy and records every prefetch instruction it emits."""
+    """Wraps a policy and records every prefetch instruction it emits.
+
+    Both prefetch forms are audited: ``PrefetchInstruction`` lists and
+    ``prefetch_block`` flat ids (``layer * J + j``), which fMoE emits.
+    """
 
     name = "auditor"
 
@@ -44,15 +49,25 @@ class InstructionAuditor(BasePolicy):
     def on_request_end(self, request):
         self.inner.on_request_end(request)
 
+    def _targets(self, action):
+        experts = [i.expert for i in action.prefetch]
+        if action.prefetch_block is not None:
+            width = self.config.experts_per_layer
+            experts.extend(
+                ExpertId(*divmod(int(flat), width))
+                for flat in action.prefetch_block[0]
+            )
+        return experts
+
     def on_iteration_start(self, ctx):
         action = self.inner.on_iteration_start(ctx)
-        self.start_instructions.extend(i.expert for i in action.prefetch)
+        self.start_instructions.extend(self._targets(action))
         return action
 
     def on_gate_output(self, ctx, layer):
         action = self.inner.on_gate_output(ctx, layer)
         self.layer_instructions.extend(
-            (layer, i.expert.layer) for i in action.prefetch
+            (layer, expert.layer) for expert in self._targets(action)
         )
         return action
 
@@ -100,6 +115,10 @@ def test_prefetch_targets_are_never_in_the_past(name, seed, cluster):
     auditor.warm(warm)
     engine.run([Request(0, cluster, 6, 3, seed=seed + 1)])
 
+    if name == "fmoe":
+        # The warmed store always yields a semantic and a trajectory
+        # match, so an empty audit means the instructions went unseen.
+        assert auditor.start_instructions and auditor.layer_instructions
     layers = config.num_layers
     for expert in auditor.start_instructions:
         assert 0 <= expert.layer < layers
@@ -121,8 +140,6 @@ def test_fmoe_eviction_priorities_always_finite(seed):
         hardware=HardwareConfig(num_gpus=2),
     )
     engine.run([Request(0, seed % 8, 4, 3, seed=seed)])
-    from repro.types import ExpertId
-
     for layer in range(config.num_layers):
         for j in range(config.experts_per_layer):
             value = policy.eviction_priority(ExpertId(layer, j), engine.now)

@@ -1,6 +1,8 @@
 """Tests for the expert pool: residency, budgets, eviction, urgency."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CapacityError, ConfigError
 from repro.moe.config import tiny_test_model
@@ -181,3 +183,97 @@ class TestValidation:
         pool = make_pool(config, hardware, budget_experts=2)
         with pytest.raises(CapacityError):
             pool.preload([E(0, 0), E(0, 2), E(1, 0)])
+
+
+def _all_experts(config):
+    return [
+        E(layer, j)
+        for layer in range(config.num_layers)
+        for j in range(config.experts_per_layer)
+    ]
+
+
+def _assert_ready_flags_agree(pool, experts, now):
+    assert pool.ready_flags(experts, now) == [
+        pool.is_ready(e, now) for e in experts
+    ], now
+
+
+class TestReadyFlags:
+    """``ready_flags`` is ``is_ready`` over a list, in every state."""
+
+    def test_each_residency_state(self, config, hardware):
+        pool = make_pool(config, hardware, budget_experts=8)
+        load = config.expert_bytes / hardware.pcie_bandwidth_bps
+        device = pool.device_of(E(0, 0))
+        same = [
+            e for e in _all_experts(config) if pool.device_of(e) is device
+        ]
+        preloaded, in_flight, queued, urgent, untracked = same[:5]
+        pool.preload([preloaded])
+        assert pool.prefetch(in_flight, 0.0) == "scheduled"
+        assert pool.prefetch(queued, 0.0) == "scheduled"
+        queued_end = pool.arrival_time(queued)
+        # The urgent load pauses the queued prefetch behind itself.
+        pool.load_on_demand(urgent, 0.5 * load)
+        assert pool.arrival_time(queued) > queued_end
+        experts = [preloaded, in_flight, queued, urgent, untracked]
+        states = {
+            0.0: [True, False, False, False, False],
+            1.5 * load: [True, True, False, False, False],
+            queued_end: [True, True, False, True, False],
+            pool.arrival_time(queued): [True, True, True, True, False],
+        }
+        for now, expected in states.items():
+            assert pool.ready_flags(experts, now) == expected, now
+            _assert_ready_flags_agree(pool, experts, now)
+
+    @given(
+        budget=st.integers(2, 12),
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("preload", "prefetch", "ondemand", "blocking", "evict")
+                ),
+                st.integers(0, 15),
+                st.sampled_from((0.0, 0.25, 0.5, 1.0, 2.5)),
+            ),
+            max_size=24,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_is_ready_after_any_operations(self, budget, ops):
+        config = tiny_test_model(num_layers=4, experts_per_layer=4)
+        hardware = HardwareConfig(
+            num_gpus=2,
+            gpu_memory_bytes=10**9,
+            pcie_bandwidth_bps=1e6,
+            framework_layer_overhead_seconds=0.0,
+        )
+        pool = make_pool(config, hardware, budget_experts=budget)
+        load = config.expert_bytes / hardware.pcie_bandwidth_bps
+        experts = _all_experts(config)
+        now = 0.0
+        for kind, index, step in ops:
+            expert = experts[index]
+            now += step * load
+            try:
+                if kind == "preload":
+                    pool.preload_fit([expert])
+                elif kind == "prefetch":
+                    pool.prefetch(expert, now)
+                elif kind == "ondemand":
+                    pool.load_on_demand(expert, now)
+                elif kind == "blocking":
+                    pool.insert_blocking(expert, now)
+                else:
+                    pool.evict(expert)
+            except CapacityError:
+                pass
+            # Probe now, mid-transfer, and every live start/end boundary.
+            probes = {now, now + 0.5 * load, now + load}
+            for task in pool._tasks.values():
+                if task is not None:
+                    probes.update((task.start, task.end))
+            for probe in probes:
+                _assert_ready_flags_agree(pool, experts, probe)

@@ -46,10 +46,11 @@ class FMoECacheScorer:
 
     def _refresh_score_row(self, layer: int) -> None:
         if self._scores is not None:
-            self._scores[layer] = 1.0 / (
-                np.maximum(self._predicted[layer], self.MIN_PROBABILITY)
-                * np.maximum(self._freq[layer], 1)
-            )
+            # The score_matrix expression, written into the row in place.
+            row = self._scores[layer]
+            np.maximum(self._predicted[layer], self.MIN_PROBABILITY, out=row)
+            row *= np.maximum(self._freq[layer], 1)
+            np.divide(1.0, row, out=row)
 
     def reset_predictions(self) -> None:
         """Clear per-iteration predictions (called at iteration start)."""

@@ -165,6 +165,12 @@ class IncrementalTrajectoryMatch:
     making every layer O(C·J) and the whole iteration O(C·L·J) — the same
     asymptotic cost as a single full match.  This mirrors the efficiency
     concern behind the paper's "negligible overhead" claim (§4.2).
+
+    The session snapshots the store size at creation and reads only those
+    ``size`` slots, so records added mid-iteration (a shared store) change
+    neither its shapes nor its results.  Products, denominators and scores
+    are written into one per-session buffer; every returned
+    :class:`MatchResult` holds fresh arrays, never views of them.
     """
 
     def __init__(self, store: ExpertMapStore, batch_size: int) -> None:
@@ -173,10 +179,12 @@ class IncrementalTrajectoryMatch:
         self.store = store
         self.batch_size = batch_size
         self.layers_observed = 0
-        size = len(store)
+        self.size = size = len(store)
         self._dots = np.zeros((batch_size, size))
         self._query_sq = np.zeros(batch_size)
-        self._stored_sq = np.zeros(size)
+        self._query_col = self._query_sq[:, None]
+        self._scores = np.empty((batch_size, size))
+        self._lanes = np.arange(batch_size)
 
     def observe_layer(self, rows: np.ndarray) -> MatchResult | None:
         """Fold in one layer's gate outputs, shape ``(B, J)``; match."""
@@ -185,46 +193,32 @@ class IncrementalTrajectoryMatch:
             raise ValueError(
                 f"expected batch {self.batch_size}, got {rows.shape[0]}"
             )
-        if self.layers_observed >= self.store.num_layers:
+        store = self.store
+        if self.layers_observed >= store.num_layers:
             raise ValueError("all layers already observed")
-        size = len(self.store)
+        size = self.size
         if size == 0:
             return None
         layer = self.layers_observed
-        experts = self.store.num_experts
+        experts = store.num_experts
         # Sliced view of the float64 pre-flattened maps: no per-layer
         # astype copy of the stored rows.
-        stored_rows = self.store._maps_flat[
+        stored_rows = store._maps_flat[
             :size, layer * experts : (layer + 1) * experts
         ]
-        self._dots += rows @ stored_rows.T
-        self._query_sq += (rows**2).sum(axis=1)
-        # The stored side's per-layer squared norms were computed with the
-        # same per-row reduction at insertion time, so folding the cached
-        # values is bitwise identical to re-squaring the stored rows here.
-        self._stored_sq += self.store.layer_sq_norms(layer, size)
+        scores = self._scores
+        np.matmul(rows, stored_rows.T, out=scores)
+        self._dots += scores
+        self._query_sq += np.add.reduce(np.square(rows), axis=1)
         self.layers_observed += 1
-        if self.batch_size == 1:
-            # Single-lane fast path: ``np.outer`` of a length-1 vector is
-            # exactly the elementwise scalar product, so scores (and the
-            # argmax) are bitwise identical to the batched expression with
-            # far fewer temporaries.
-            denom = np.sqrt(self._query_sq[0] * self._stored_sq)
-            denom[denom == 0.0] = 1.0
-            scores = self._dots[0] / denom
-            best = int(np.argmax(scores))
-            return MatchResult(
-                indices=np.array([best]),
-                scores=scores[best : best + 1],
-            )
-        denom = np.sqrt(
-            np.outer(self._query_sq, self._stored_sq)
+        # The store caches each slot's squared prefix norms as the same
+        # left fold of per-layer row reductions, so reading layer ``l``'s
+        # prefix is bitwise identical to folding the stored rows here.
+        np.multiply(
+            self._query_col, store._prefix_sq[layer, :size], out=scores
         )
-        denom[denom == 0.0] = 1.0
-        scores = self._dots / denom
-        best = np.argmax(scores, axis=1)
-        return MatchResult(
-            indices=best,
-            scores=scores[np.arange(self.batch_size), best],
-        )
-
+        np.sqrt(scores, out=scores)
+        scores[scores == 0.0] = 1.0
+        np.divide(self._dots, scores, out=scores)
+        best = scores.argmax(axis=1)
+        return MatchResult(indices=best, scores=scores[self._lanes, best])

@@ -92,14 +92,23 @@ class FMoEPolicy(BasePolicy):
         """Externally owned store to attach to instead of building one —
         cluster replicas configured for a shared store all learn into (and
         search) the same map collection."""
-        self._lru = LRUTracker()
-        self._lfu = LFUTracker()
+        # Recency/frequency bookkeeping only for the Fig. 12b ablations
+        # that evict by it; the fMoE scorer keeps its own visit counts.
+        tracker = {"lru": LRUTracker, "lfu": LFUTracker}.get(eviction_algorithm)
+        self._tracker: LRUTracker | LFUTracker | None = (
+            tracker() if tracker is not None else None
+        )
         self.store: ExpertMapStore | None = None
         self.matcher: ExpertMapMatcher | None = None
         self.scorer: FMoECacheScorer | None = None
         self._trajectory_session: IncrementalTrajectoryMatch | None = None
-        self.semantic_score_log: list[float] = []
-        self.trajectory_score_log: list[float] = []
+        self._max_prefetch_count = 0
+        # Running totals of the best match scores (Fig. 14a): a sum and a
+        # count each, so a long-lived engine keeps O(1) state.
+        self.semantic_score_count = 0
+        self.trajectory_score_count = 0
+        self._semantic_score_sum = 0.0
+        self._trajectory_score_sum = 0.0
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -140,6 +149,9 @@ class FMoEPolicy(BasePolicy):
         self.scorer = FMoECacheScorer(
             config.num_layers, config.experts_per_layer
         )
+        self._max_prefetch_count = int(
+            math.ceil(self.max_prefetch_factor * config.top_k)
+        )
 
     def warm(self, traces: Sequence) -> None:
         if self.store is None:
@@ -152,9 +164,6 @@ class FMoEPolicy(BasePolicy):
     # Selection helpers
     # ------------------------------------------------------------------ #
 
-    def _max_prefetch_count(self) -> int:
-        return int(math.ceil(self.max_prefetch_factor * self.config.top_k))
-
     def _select(self, row: np.ndarray, score: float) -> np.ndarray:
         """Expert indices to prefetch for one layer given the match score."""
         if self.dynamic_threshold:
@@ -163,7 +172,7 @@ class FMoEPolicy(BasePolicy):
                 row,
                 threshold,
                 self.config.top_k,
-                max_count=self._max_prefetch_count(),
+                max_count=self._max_prefetch_count,
             )
         top = np.argsort(row)[::-1][: self.config.top_k]
         return top
@@ -202,7 +211,7 @@ class FMoEPolicy(BasePolicy):
                 rows,
                 thresholds,
                 self.config.top_k,
-                max_count=self._max_prefetch_count(),
+                max_count=self._max_prefetch_count,
             )
         else:
             order = np.argsort(rows, axis=1)[:, ::-1]
@@ -240,7 +249,8 @@ class FMoEPolicy(BasePolicy):
         result = self.matcher.match_semantic(ctx.embeddings)
         if result is None:
             return action
-        self.semantic_score_log.extend(float(s) for s in result.scores)
+        self._semantic_score_sum += sum(result.scores.tolist())
+        self.semantic_score_count += ctx.batch_size
         # Semantic search covers layers [0, d); with trajectory search
         # disabled it must carry the entire iteration.
         horizon = (
@@ -276,16 +286,17 @@ class FMoEPolicy(BasePolicy):
             # The forward pass moved past layer-1: its experts are now the
             # least valuable residents (layer-sequential reuse, §4.5).
             self.scorer.mark_layer_done(layer - 1)
-        if not self.use_trajectory:
-            return PolicyAction()
         session = self._trajectory_session
-        if session is None:
+        target = layer + self.prefetch_distance
+        # A match at a layer whose target lies past the model would be
+        # thrown away, so the last ``d`` layers skip it.
+        if session is None or target >= self.config.num_layers:
             return PolicyAction()
         result = session.observe_layer(ctx.observed[:, layer, :])
-        target = layer + self.prefetch_distance
-        if result is None or target >= self.config.num_layers:
+        if result is None:
             return PolicyAction()
-        self.trajectory_score_log.extend(float(s) for s in result.scores)
+        self._trajectory_score_sum += sum(result.scores.tolist())
+        self.trajectory_score_count += ctx.batch_size
         if ctx.batch_size == 1:
             # Unbatched iterations skip the gather: one matched row, one
             # selection, flat ids built in place.
@@ -330,15 +341,13 @@ class FMoEPolicy(BasePolicy):
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         assert self.scorer is not None
         self.scorer.touch(expert)
-        self._lru.touch(expert, now)
-        self._lfu.touch(expert, now)
+        if self._tracker is not None:
+            self._tracker.touch(expert, now)
 
     def eviction_priority(self, expert: ExpertId, now: float) -> float:
         """Dispatch on the configured cache algorithm (Fig. 12b ablation)."""
-        if self.eviction_algorithm == "lru":
-            return self._lru.eviction_priority(expert, now)
-        if self.eviction_algorithm == "lfu":
-            return self._lfu.eviction_priority(expert, now)
+        if self._tracker is not None:
+            return self._tracker.eviction_priority(expert, now)
         assert self.scorer is not None
         return self.scorer.eviction_priority(expert, now)
 
@@ -359,12 +368,12 @@ class FMoEPolicy(BasePolicy):
 
     def mean_semantic_score(self) -> float:
         """Mean best semantic-match score over the run (Fig. 14a)."""
-        if not self.semantic_score_log:
+        if not self.semantic_score_count:
             return 0.0
-        return float(np.mean(self.semantic_score_log))
+        return self._semantic_score_sum / self.semantic_score_count
 
     def mean_trajectory_score(self) -> float:
         """Mean best trajectory-match score over the run (Fig. 14a)."""
-        if not self.trajectory_score_log:
+        if not self.trajectory_score_count:
             return 0.0
-        return float(np.mean(self.trajectory_score_log))
+        return self._trajectory_score_sum / self.trajectory_score_count

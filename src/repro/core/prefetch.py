@@ -23,7 +23,7 @@ from repro.errors import ConfigError
 
 def selection_threshold(score: float) -> float:
     """δ = clip(1 − score, 0, 1) for a cosine score in [−1, 1]."""
-    return float(np.clip(1.0 - score, 0.0, 1.0))
+    return float(min(max(1.0 - score, 0.0), 1.0))
 
 
 def select_prefetch_experts(
@@ -50,12 +50,10 @@ def select_prefetch_experts(
     min_needed = min(top_k + 1, num_experts)
     cap = num_experts if max_count is None else min(max_count, num_experts)
     cap = max(cap, min_needed)
-    order = np.argsort(distribution)[::-1]
-    cumulative = np.cumsum(distribution[order])
-    count = int(np.searchsorted(cumulative, threshold) + 1)
-    count = max(count, min_needed)
-    count = min(count, cap)
-    return order[:count]
+    order = distribution.argsort()[::-1]
+    cumulative = distribution[order].cumsum()
+    count = int(cumulative.searchsorted(threshold)) + 1
+    return order[: min(max(count, min_needed), cap)]
 
 
 def select_prefetch_counts(

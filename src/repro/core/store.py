@@ -78,10 +78,10 @@ class ExpertMapStore:
             (capacity, num_layers * num_experts), dtype=np.float64
         )
         self._prefix_norms = np.ones((capacity, num_layers), dtype=np.float64)
-        # Per-layer squared norms ||map[l]||² of every slot, cached at
-        # insertion so incremental trajectory matchers can fold in one
-        # layer without re-squaring the stored rows each time.
-        self._layer_sq = np.zeros((capacity, num_layers), dtype=np.float64)
+        # Cumulative squared prefix norms ||map[:l+1]||² of every slot,
+        # layer-major so an incremental trajectory matcher reads one
+        # contiguous row per layer instead of folding per-layer norms.
+        self._prefix_sq = np.zeros((num_layers, capacity), dtype=np.float64)
         self._size = 0
         self.total_added = 0
         self.replacements = 0
@@ -138,10 +138,6 @@ class ExpertMapStore:
             raise ConfigError("record index out of range")
         return self._maps[indices, layer]
 
-    def layer_sq_norms(self, layer: int, size: int) -> np.ndarray:
-        """Cached ``||map[layer]||²`` of the first ``size`` slots."""
-        return self._layer_sq[:size, layer]
-
     def memory_bytes(self, allocated: bool = False) -> int:
         """CPU memory footprint (Fig. 16): maps + embeddings, float32."""
         rows = self.capacity if allocated else self._size
@@ -186,9 +182,11 @@ class ExpertMapStore:
         self._embeddings_unit[slot] = emb / (norm if norm != 0.0 else 1.0)
         stored = self._maps[slot].astype(np.float64)
         self._maps_flat[slot] = stored.reshape(-1)
-        layer_sq = (stored**2).sum(axis=1)
-        self._layer_sq[slot] = layer_sq
-        norms = np.sqrt(np.cumsum(layer_sq))
+        # ``cumsum`` is the same left fold a streamed match would run
+        # layer by layer, so the cached prefixes are bitwise equal to it.
+        prefix_sq = np.cumsum((stored**2).sum(axis=1))
+        self._prefix_sq[:, slot] = prefix_sq
+        norms = np.sqrt(prefix_sq)
         norms[norms == 0.0] = 1.0
         self._prefix_norms[slot] = norms
 

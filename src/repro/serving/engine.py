@@ -683,12 +683,13 @@ class ServingEngine:
         self._emit(EventKind.ITERATION_START, detail=float(len(active)))
         self._apply(self.policy.on_iteration_start(ctx), breakdown)
 
+        layer_base_seconds = self._mixed_layer_base_seconds(
+            prefill_tokens, has_decode
+        )
         for layer in range(self.config.num_layers):
             if telemetry is not None:
                 telemetry.layer_begin(layer, self._now)
-            base_seconds = self._mixed_layer_base_seconds(
-                prefill_tokens, has_decode
-            )
+            base_seconds = layer_base_seconds
             if self.faults is not None:
                 # A straggler GPU gates the whole (model-parallel) layer.
                 base_seconds *= self.faults.compute_multiplier(self._now)
@@ -749,10 +750,10 @@ class ServingEngine:
         if len(activated) == 1:
             # Routing arrays are already sorted and unique per request, so
             # a single-request union needs no set round-trip.
-            return [ExpertId(layer, int(j)) for j in activated[0]]
+            return [ExpertId(layer, j) for j in activated[0].tolist()]
         union: set[int] = set()
         for row in activated:
-            union.update(int(j) for j in row)
+            union.update(row.tolist())
         return [ExpertId(layer, j) for j in sorted(union)]
 
     def _snapshot_hits(

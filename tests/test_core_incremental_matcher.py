@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matcher import ExpertMapMatcher
+from repro.core.policy import FMoEPolicy
 from repro.core.store import ExpertMapStore
 from repro.moe.gating import softmax_rows
+from repro.serving.engine import ServingEngine
+from repro.workloads.datasets import make_dataset
 
 from tests._reference_core import ReferenceTrajectoryMatch
 
@@ -148,3 +151,98 @@ class TestPerformance:
         full_time = time.perf_counter() - start
 
         assert incremental_time < full_time
+
+
+def _sequential_prefix_fold(store: ExpertMapStore) -> np.ndarray:
+    """``||map[:l + 1]||²`` per slot, folded one layer at a time."""
+    maps = store._maps[: len(store)].astype(np.float64)
+    folded = np.zeros(len(store))
+    prefixes = []
+    for layer in range(store.num_layers):
+        folded = folded + (maps[:, layer] ** 2).sum(axis=1)
+        prefixes.append(folded)
+    return np.array(prefixes)
+
+
+class TestStreamedBuffers:
+    def test_prefix_sq_norms_equal_sequential_fold(self, rng):
+        """Layer-major cached prefixes, after appends and replacements."""
+        store = ExpertMapStore(5, 6, 4, 8, 2)
+        for _ in range(12):
+            store.add(
+                rng.standard_normal(8),
+                softmax_rows(rng.standard_normal((6, 4))),
+            )
+            cached = store._prefix_sq[:, : len(store)]
+            assert np.array_equal(cached, _sequential_prefix_fold(store))
+            assert not store._prefix_sq[:, len(store) :].any()
+        assert store.replacements == 7
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_results_survive_the_next_layer(self, loaded, rng, batch_size):
+        """A returned MatchResult holds no view of the session buffers."""
+        matcher, _ = loaded
+        query = softmax_rows(rng.standard_normal((batch_size, 6, 4)))
+        session = matcher.incremental_session(batch_size)
+        results, kept = [], []
+        for layer in range(6):
+            result = session.observe_layer(query[:, layer, :])
+            results.append(result)
+            kept.append((result.indices.copy(), result.scores.copy()))
+        assert not np.array_equal(kept[0][1], kept[-1][1])
+        for result, (indices, scores) in zip(results, kept):
+            assert np.array_equal(result.indices, indices)
+            assert np.array_equal(result.scores, scores)
+
+    def test_store_growing_mid_session_changes_nothing(self, loaded, rng):
+        """A shared store gaining a record between two layers of a session."""
+        matcher, store = loaded
+        twin = ExpertMapStore(32, 6, 4, 8, 2)
+        for slot in range(len(store)):
+            record = store.record(slot)
+            twin.add(record.embedding, record.expert_map)
+        query = softmax_rows(rng.standard_normal((2, 6, 4)))
+        session = matcher.incremental_session(2)
+        reference = ExpertMapMatcher(twin).incremental_session(2)
+        for layer in range(6):
+            if layer in (2, 4):
+                # The best possible match for the query, were it visible.
+                store.add(rng.standard_normal(8), query[0])
+            got = session.observe_layer(query[:, layer, :])
+            want = reference.observe_layer(query[:, layer, :])
+            assert np.array_equal(got.indices, want.indices), layer
+            assert np.array_equal(got.scores, want.scores), layer
+        assert len(store) == len(twin) + 2
+
+
+class TestPolicyMatchCount:
+    @pytest.mark.parametrize("batch_size", [1, 8])
+    def test_one_match_per_layer_with_a_target(
+        self, tiny_model, tiny_world, tiny_profile, small_hardware, batch_size
+    ):
+        """Layers whose target ``l + d`` lies past the model never match."""
+        _, traces, _ = tiny_world
+        distance = 2
+        policy = FMoEPolicy(prefetch_distance=distance)
+        engine = ServingEngine(
+            tiny_model,
+            policy,
+            cache_budget_bytes=16 * tiny_model.config.expert_bytes,
+            hardware=small_hardware,
+        )
+        policy.warm(traces)
+        sessions = []
+        start = policy.matcher.incremental_session
+
+        def recorded(size):
+            sessions.append(start(size))
+            return sessions[-1]
+
+        policy.matcher.incremental_session = recorded
+        report = engine.run(
+            make_dataset(tiny_profile, 8, seed=11), batch_size=batch_size
+        )
+        layers = tiny_model.config.num_layers
+        assert len(sessions) == report.iterations
+        assert max(s.batch_size for s in sessions) == batch_size
+        assert {s.layers_observed for s in sessions} == {layers - distance}

@@ -53,8 +53,8 @@ class TestWarmAndServe:
         engine = make_engine(tiny_model, policy, small_hardware)
         policy.warm(traces)
         engine.run(test[:2])
-        assert policy.semantic_score_log
-        assert policy.trajectory_score_log
+        assert policy.semantic_score_count > 0
+        assert policy.trajectory_score_count > 0
         assert -1.0 <= policy.mean_semantic_score() <= 1.0
         assert -1.0 <= policy.mean_trajectory_score() <= 1.0
 
@@ -112,8 +112,8 @@ class TestWarmAndServe:
         engine = make_engine(tiny_model, policy, small_hardware)
         policy.warm(traces)
         report = engine.run(test[:2])
-        assert not policy.semantic_score_log
-        assert policy.trajectory_score_log
+        assert policy.semantic_score_count == 0
+        assert policy.trajectory_score_count > 0
         assert report.activations > 0
 
     def test_semantic_only_mode_covers_all_layers(
@@ -124,8 +124,8 @@ class TestWarmAndServe:
         engine = make_engine(tiny_model, policy, small_hardware)
         policy.warm(traces)
         report = engine.run(test[:2])
-        assert policy.semantic_score_log
-        assert not policy.trajectory_score_log
+        assert policy.semantic_score_count > 0
+        assert policy.trajectory_score_count == 0
         assert report.hit_rate > 0.0
 
     def test_fixed_threshold_mode(self, tiny_model, tiny_world, small_hardware):

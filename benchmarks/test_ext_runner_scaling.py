@@ -1,17 +1,13 @@
 """Extension: parallel runner scaling + store vectorization micro-bench.
 
 Times the same 20-cell grid sweep (1 model x 1 dataset x 5 systems x
-4 budgets) at ``jobs`` in {1, 2, 4} — through both the process pool and
-the shared-cache thread pool — and checks the CSV output is
-byte-identical at every level and under both executors: the runner's
-core guarantee.  Wall-clock numbers land in
-``benchmarks/BENCH_runner.json`` together with the host's CPU count; the
->= 1.8x speedup expectation at ``jobs=4`` only applies when four cores
-actually exist, so the assertions are gated on ``cpus`` (a single-core
-container can demonstrate determinism but not parallel speedup).  The
-thread executor's numpy-heavy cells hold the GIL, so no speedup floor is
-asserted for it — what it must prove is determinism and that the
-fan-out overhead stays sane.
+4 budgets) at ``jobs`` in {1, 2, 4} through the process pool and checks
+the CSV output is byte-identical at every level: the runner's core
+guarantee.  Wall-clock numbers land in ``benchmarks/BENCH_runner.json``
+together with the host's CPU count; the >= 1.8x speedup expectation at
+``jobs=4`` only applies when four cores actually exist, so the
+assertions are gated on ``cpus`` (a single-core container can
+demonstrate determinism but not parallel speedup).
 
 The second section micro-benchmarks the store's pre-normalized search
 path against a naive reference that re-normalizes stored rows on every
@@ -132,25 +128,12 @@ def test_ext_runner_scaling(benchmark):
             cells = run_grid(config=RUNNER_CONFIG, jobs=jobs, **GRID)
             wall[jobs] = time.perf_counter() - start
             csvs[jobs] = grid_to_csv(cells)
-        thread_wall: dict[int, float] = {}
-        thread_csvs: dict[int, str] = {}
-        for jobs in JOBS_LEVELS:
-            start = time.perf_counter()
-            cells = run_grid(
-                config=RUNNER_CONFIG, jobs=jobs, executor="thread", **GRID
-            )
-            thread_wall[jobs] = time.perf_counter() - start
-            thread_csvs[jobs] = grid_to_csv(cells)
         micro = _store_microbench(np.random.default_rng(0))
-        return wall, csvs, thread_wall, thread_csvs, micro
+        return wall, csvs, micro
 
-    wall, csvs, thread_wall, thread_csvs, micro = run_once(
-        benchmark, experiment
-    )
+    wall, csvs, micro = run_once(benchmark, experiment)
 
-    identical = all(csvs[j] == csvs[1] for j in JOBS_LEVELS) and all(
-        thread_csvs[j] == csvs[1] for j in JOBS_LEVELS
-    )
+    identical = all(csvs[j] == csvs[1] for j in JOBS_LEVELS)
     cpus = len(os.sched_getaffinity(0))
     num_cells = len(GRID["systems"]) * len(GRID["budgets_gb"])
     result = {
@@ -164,9 +147,6 @@ def test_ext_runner_scaling(benchmark):
             for j in JOBS_LEVELS
             if j != 1
         },
-        "thread_wall_seconds": {
-            str(j): round(thread_wall[j], 3) for j in JOBS_LEVELS
-        },
         "identical_output": identical,
         "store_vectorization": micro,
     }
@@ -179,10 +159,6 @@ def test_ext_runner_scaling(benchmark):
     lines += [
         f"jobs={j}: wall={wall[j]:7.2f}s "
         f"speedup={wall[1] / wall[j]:5.2f}x"
-        for j in JOBS_LEVELS
-    ]
-    lines += [
-        f"jobs={j} (thread): wall={thread_wall[j]:7.2f}s"
         for j in JOBS_LEVELS
     ]
     lines.append(f"identical_output={identical}")

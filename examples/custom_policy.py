@@ -13,14 +13,10 @@ Run:  python examples/custom_policy.py
 import numpy as np
 
 from repro.baselines import OraclePolicy
-from repro.baselines.base import BasePolicy, LFUTracker
+from repro.baselines.base import BasePolicy, LFUTracker, concat_blocks
 from repro.core.policy import FMoEPolicy
 from repro.experiments.common import ExperimentConfig, build_world
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
 
@@ -41,30 +37,32 @@ class StickyTopKPolicy(BasePolicy):
         self._last_activated: dict[int, np.ndarray] = {}
         self._lfu = LFUTracker()
 
+    def _block(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """A prefetch block: what ``layer`` used last iteration.
+
+        Entries are flat expert ids ``layer * J + j``, all at priority 1.
+        """
+        used = self._last_activated.get(layer, np.zeros(0, dtype=np.int64))
+        ids = layer * self.config.experts_per_layer + used
+        return ids, np.ones(len(ids))
+
     def on_iteration_start(self, ctx: IterationContext) -> PolicyAction:
-        instructions = []
-        for layer in range(min(self.prefetch_distance, self.config.num_layers)):
-            for j in self._last_activated.get(layer, ()):
-                instructions.append(
-                    PrefetchInstruction(ExpertId(layer, int(j)), priority=1.0)
-                )
-        return PolicyAction(prefetch=instructions)
+        layers = range(min(self.prefetch_distance, self.config.num_layers))
+        return PolicyAction(
+            prefetch_block=concat_blocks([self._block(layer) for layer in layers])
+        )
 
     def on_gate_output(self, ctx: IterationContext, layer: int) -> PolicyAction:
         # Remember what this layer just used ...
         union: set[int] = set()
         for activated in ctx.activated_at(layer):
             union.update(int(j) for j in activated)
-        self._last_activated[layer] = np.array(sorted(union))
+        self._last_activated[layer] = np.array(sorted(union), dtype=np.int64)
         # ... and prefetch the memory of layer (layer + d).
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        instructions = [
-            PrefetchInstruction(ExpertId(target, int(j)), priority=1.0)
-            for j in self._last_activated.get(target, ())
-        ]
-        return PolicyAction(prefetch=instructions)
+        return PolicyAction(prefetch_block=self._block(target))
 
     def on_expert_served(self, expert: ExpertId, hit: bool, now: float) -> None:
         self._lfu.touch(expert, now)

@@ -7,11 +7,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.serving.request import Request
 from repro.types import ExpertId
 
@@ -121,16 +117,25 @@ class BasePolicy:
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def instructions_for_topk(
+    def topk_block(
         layer: int, distribution: np.ndarray, k: int, base_priority: float = 0.0
-    ) -> list[PrefetchInstruction]:
-        """Prefetch the ``k`` most probable experts of one layer."""
-        k = min(k, distribution.shape[-1])
-        top = np.argsort(distribution)[::-1][:k]
-        return [
-            PrefetchInstruction(
-                expert=ExpertId(layer, int(j)),
-                priority=base_priority + float(distribution[j]),
-            )
-            for j in top
-        ]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Prefetch block for the ``k`` most probable experts of one layer.
+
+        Flat ids ``layer * J + j`` in descending-probability order, each
+        with priority ``base_priority + distribution[j]`` in float64.
+        """
+        width = distribution.shape[-1]
+        top = np.argsort(distribution)[::-1][: min(k, width)]
+        priorities = base_priority + distribution[top].astype(np.float64)
+        return layer * width + top, priorities
+
+
+def concat_blocks(
+    blocks: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One prefetch block holding ``blocks`` back to back, in order."""
+    return (
+        np.concatenate([ids for ids, _ in blocks]),
+        np.concatenate([priorities for _, priorities in blocks]),
+    )

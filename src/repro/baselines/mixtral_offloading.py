@@ -9,7 +9,7 @@ hit rate in Fig. 9) but the synchronous waits make its TTFT/TPOT poor.
 
 from __future__ import annotations
 
-from repro.baselines.base import BasePolicy, LRUTracker
+from repro.baselines.base import BasePolicy, LRUTracker, concat_blocks
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
@@ -35,14 +35,16 @@ class MixtralOffloadingPolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        instructions = []
-        for b in range(ctx.batch_size):
-            predicted = ctx.speculate(b, target, self.prefetch_distance)
-            instructions.extend(
-                self.instructions_for_topk(target, predicted, self.config.top_k)
+        blocks = [
+            self.topk_block(
+                target,
+                ctx.speculate(b, target, self.prefetch_distance),
+                self.config.top_k,
             )
+            for b in range(ctx.batch_size)
+        ]
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=concat_blocks(blocks),
             sync_overheads={"speculate": self.SPECULATE_SECONDS},
             block_until_arrival=True,
         )

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.baselines.base import BasePolicy, LFUTracker
+from repro.baselines.base import BasePolicy, LFUTracker, concat_blocks
 from repro.moe.embeddings import cosine_similarity_matrix
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
@@ -100,15 +100,12 @@ class MoEInfinityPolicy(BasePolicy):
             return PolicyAction()
         # Initial layers: coarse rule — globally most popular experts.
         width = self._prefetch_width()
-        instructions = []
-        for layer in range(min(self.prefetch_distance, config.num_layers)):
-            instructions.extend(
-                self.instructions_for_topk(
-                    layer, self._popularity[layer], width
-                )
-            )
+        blocks = [
+            self.topk_block(layer, self._popularity[layer], width)
+            for layer in range(min(self.prefetch_distance, config.num_layers))
+        ]
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=concat_blocks(blocks),
             sync_overheads={"predict": self.PREDICT_SECONDS},
         )
 
@@ -129,15 +126,13 @@ class MoEInfinityPolicy(BasePolicy):
         partial = np.stack([grid.ravel() for grid in counts])
         scores = cosine_similarity_matrix(partial, stored)
         width = self._prefetch_width()
-        instructions = []
+        blocks = []
         for b in range(len(counts)):
             best = int(np.argmax(scores[b]))
             row = self._eam_grids[best][target]
-            instructions.extend(
-                self.instructions_for_topk(target, row, width)
-            )
+            blocks.append(self.topk_block(target, row, width))
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=concat_blocks(blocks),
             sync_overheads={"predict": self.PREDICT_SECONDS},
         )
 

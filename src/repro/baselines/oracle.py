@@ -8,12 +8,10 @@ extension benches to quantify how much headroom remains above fMoE.
 
 from __future__ import annotations
 
-from repro.baselines.base import BasePolicy, LFUTracker
-from repro.serving.engine import (
-    IterationContext,
-    PolicyAction,
-    PrefetchInstruction,
-)
+import numpy as np
+
+from repro.baselines.base import BasePolicy, LFUTracker, concat_blocks
+from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
 
@@ -33,17 +31,14 @@ class OraclePolicy(BasePolicy):
         self._next_use: dict[ExpertId, int] = {}
         self._front = 0
 
-    def _instructions(self, ctx: IterationContext, layer: int):
-        instructions = []
-        for activated in ctx.oracle_activated_at(layer):
-            for j in activated:
-                instructions.append(
-                    PrefetchInstruction(
-                        expert=ExpertId(layer, int(j)),
-                        priority=float(self.config.num_layers - layer),
-                    )
-                )
-        return instructions
+    def _block(self, ctx: IterationContext, layer: int):
+        """Every lane's true activations at ``layer``, lane-major."""
+        experts = np.concatenate(ctx.oracle_activated_at(layer))
+        ids = layer * self.config.experts_per_layer + experts.astype(np.int64)
+        priorities = np.full(
+            len(ids), float(self.config.num_layers - layer)
+        )
+        return ids, priorities
 
     def on_iteration_start(self, ctx: IterationContext) -> PolicyAction:
         # Perfect predictions, same issue window as fMoE: the first d
@@ -55,10 +50,13 @@ class OraclePolicy(BasePolicy):
             for activated in ctx.oracle_activated_at(layer):
                 for j in activated:
                     self._next_use.setdefault(ExpertId(layer, int(j)), layer)
-        instructions = []
-        for layer in range(min(self.prefetch_distance, self.config.num_layers)):
-            instructions.extend(self._instructions(ctx, layer))
-        return PolicyAction(prefetch=instructions)
+        blocks = [
+            self._block(ctx, layer)
+            for layer in range(
+                min(self.prefetch_distance, self.config.num_layers)
+            )
+        ]
+        return PolicyAction(prefetch_block=concat_blocks(blocks))
 
     def on_gate_output(
         self, ctx: IterationContext, layer: int
@@ -67,7 +65,7 @@ class OraclePolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        return PolicyAction(prefetch=self._instructions(ctx, target))
+        return PolicyAction(prefetch_block=self._block(ctx, target))
 
     def on_iteration_end(self, ctx: IterationContext) -> None:
         self._next_use = {}

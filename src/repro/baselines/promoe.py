@@ -10,7 +10,7 @@ hidden-state reuse at the same distance, still decaying with stride).
 
 from __future__ import annotations
 
-from repro.baselines.base import BasePolicy, LFUTracker
+from repro.baselines.base import BasePolicy, LFUTracker, concat_blocks
 from repro.serving.engine import IterationContext, PolicyAction
 from repro.types import ExpertId
 
@@ -47,7 +47,7 @@ class ProMoEPolicy(BasePolicy):
         target = layer + self.prefetch_distance
         if target >= self.config.num_layers:
             return PolicyAction()
-        instructions = []
+        blocks = []
         for b in range(ctx.batch_size):
             predicted = ctx.speculate(
                 b,
@@ -55,11 +55,11 @@ class ProMoEPolicy(BasePolicy):
                 self.prefetch_distance,
                 noise_multiplier=self.predictor_quality,
             )
-            instructions.extend(
-                self.instructions_for_topk(target, predicted, self.config.top_k)
+            blocks.append(
+                self.topk_block(target, predicted, self.config.top_k)
             )
         return PolicyAction(
-            prefetch=instructions,
+            prefetch_block=concat_blocks(blocks),
             sync_overheads={"predict": self.PREDICT_SECONDS},
         )
 

@@ -128,15 +128,8 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
         "--jobs",
         type=int,
         default=1,
-        help="workers for independent simulation cells "
+        help="worker processes for independent simulation cells "
         "(0 = all cores; results are identical at any level)",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("process", "thread"),
-        default="process",
-        help="pool flavor for --jobs > 1: isolated worker processes or "
-        "one shared-cache thread pool (identical results either way)",
     )
 
 
@@ -212,7 +205,6 @@ def cmd_overall(args: argparse.Namespace) -> int:
         systems=tuple(args.systems or SYSTEM_NAMES),
         config=config,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -280,7 +272,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         limits_gb=tuple(args.limits),
         config=config,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -410,7 +401,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
         budgets_gb=args.budgets or None,
         config=config,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     text = grid_to_csv(cells, args.output)
@@ -482,7 +472,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
         trace_requests=args.trace_requests,
         rate_seconds=args.rate,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -515,7 +504,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
             trace_requests=args.trace_requests,
             rate_seconds=args.rate,
             jobs=args.jobs,
-            executor=args.executor,
         )
         for row in rows:
             print(row.format())
@@ -644,7 +632,6 @@ def cmd_storm_lite(args: argparse.Namespace) -> int:
         rate_seconds=args.rate,
         deadline_multiplier=args.deadline_multiplier,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:
@@ -670,7 +657,6 @@ def cmd_storm(args: argparse.Namespace) -> int:
         admission_burst=args.admission_burst,
         deadline_multiplier=args.deadline_multiplier,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for res in results:
@@ -732,7 +718,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         rate_seconds=args.rate,
         deadline_multiplier=args.deadline_multiplier,
         jobs=args.jobs,
-        executor=args.executor,
         validate=args.validate,
     )
     for row in rows:

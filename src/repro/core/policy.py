@@ -192,7 +192,7 @@ class FMoEPolicy(BasePolicy):
         priorities): per lane, the experts :meth:`_select` picks for its
         row and score, in lane-major order, each with priority
         PRI = p / gap — one argsort/cumsum pass instead of one Python call
-        per lane and one ``PrefetchInstruction`` per expert.
+        per lane.
         """
         rows = rows32.astype(np.float64)
         width = rows.shape[1]

@@ -33,7 +33,6 @@ def tpot_vs_cache_limit(
     limits_gb: tuple[float, ...] = DEFAULT_LIMITS_GB,
     config: ExperimentConfig | None = None,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[CacheLimitRow]:
@@ -66,7 +65,7 @@ def tpot_vs_cache_limit(
                         validate=validate,
                     )
                 )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
     return [
         CacheLimitRow(
             model=model,

@@ -79,7 +79,6 @@ def cluster_scaling_rows(
     trace_requests: int = 32,
     rate_seconds: float = 1.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
 ) -> list[ClusterScalingRow]:
     """Run the (router × replica-count) cluster grid.
@@ -104,7 +103,7 @@ def cluster_scaling_rows(
         )
         for router, count in grid
     ]
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
     rows: list[ClusterScalingRow] = []
     for (router, count), report in zip(grid, reports):
         assert isinstance(report, ClusterReport)

@@ -142,7 +142,6 @@ def chaos_rows(
     rate_seconds: float = 2.0,
     queue_budget_multiplier: float = 2.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     cluster: ClusterSpec | None = None,
     validate: bool = False,
@@ -191,7 +190,6 @@ def chaos_rows(
     reference_reports = run_cells(
         [cell(system, healthy_faults, SLOConfig()) for system in systems],
         jobs=jobs,
-        executor=executor,
         cache=cache,
     )
     reference = dict(zip(systems, reference_reports))
@@ -214,9 +212,7 @@ def chaos_rows(
     faulty_reports = dict(
         zip(
             faulty_specs,
-            run_cells(
-                faulty_cells, jobs=jobs, cache=cache, executor=executor
-            ),
+            run_cells(faulty_cells, jobs=jobs, cache=cache),
         )
     )
 

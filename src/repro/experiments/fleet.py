@@ -139,7 +139,6 @@ def fleet_rows(
     rate_seconds: float = 1.0,
     deadline_multiplier: float = 1.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[FleetRow]:
@@ -178,7 +177,6 @@ def fleet_rows(
             )
         ],
         jobs=jobs,
-        executor=executor,
         cache=cache,
     )[0]
     deadline = max(
@@ -205,7 +203,7 @@ def fleet_rows(
                     validate=validate,
                 )
             )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
 
     rows: list[FleetRow] = []
     for index, shape in enumerate(matrix):

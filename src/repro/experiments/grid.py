@@ -55,15 +55,12 @@ def run_grid(
     jobs: int | None = 1,
     cache: WorldCache | None = None,
     validate: bool = False,
-    executor: str = "process",
 ) -> list[GridCell]:
     """Run every grid cell; ``budgets_gb=None`` uses the default budget.
 
-    ``jobs`` fans independent cells across a pool (0 = all cores);
-    results are merged in sweep order, so the output is identical to a
-    sequential run.  ``executor`` picks the ``jobs>1`` pool flavor
-    (``"process"`` or ``"thread"`` — see
-    :func:`~repro.experiments.runner.run_cells`).  Worlds are shared
+    ``jobs`` fans independent cells across a process pool (0 = all
+    cores); results are merged in sweep order, so the output is identical
+    to a sequential run.  Worlds are shared
     across budgets and systems through ``cache`` (or each worker's
     process cache).  ``validate`` attaches runtime invariant monitors to
     every cell and raises :class:`~repro.errors.ValidationError` on the
@@ -98,7 +95,7 @@ def run_grid(
                             validate=validate,
                         )
                     )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
     return [
         GridCell(
             model=model,

@@ -37,7 +37,6 @@ def overall_rows(
     systems: tuple[str, ...] = SYSTEM_NAMES,
     config: ExperimentConfig | None = None,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[OverallRow]:
@@ -63,7 +62,7 @@ def overall_rows(
         )
         for model, dataset, system in specs
     ]
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
     return [
         OverallRow(
             model=model,

@@ -188,7 +188,6 @@ def storm_rows(
     rate_seconds: float = 1.5,
     deadline_multiplier: float = 3.0,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[StormRow]:
@@ -231,7 +230,6 @@ def storm_rows(
             )
         ],
         jobs=jobs,
-        executor=executor,
         cache=cache,
     )[0]
     healthy_p95 = reference.percentile_latency(95)
@@ -257,7 +255,7 @@ def storm_rows(
                     validate=validate,
                 )
             )
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
 
     rows: list[StormRow] = []
     for index, scenario in enumerate(matrix):

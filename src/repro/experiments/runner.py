@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -271,50 +271,29 @@ def _chunksize(num_cells: int, workers: int) -> int:
     return max(1, math.ceil(num_cells / (workers * 4)))
 
 
-#: Executors ``run_cells`` accepts for ``jobs > 1`` fan-out.
-EXECUTORS: tuple[str, ...] = ("process", "thread")
-
-
 def run_cells(
     cells: Sequence[SimCell],
     jobs: int | None = 1,
     cache: WorldCache | None = None,
-    executor: str = "process",
 ) -> list[ServingReport]:
     """Run every cell; reports come back in submission order.
 
     ``jobs=1`` executes sequentially in-process (against ``cache`` or the
-    process cache); ``jobs>1`` fans cells across a pool.  Both paths run
-    the exact same per-cell code on the same virtual clock, so the
-    results are identical — parallelism only changes wall-clock.
-
-    ``executor`` picks the pool flavor: ``"process"`` (the default)
-    isolates workers in subprocesses; ``"thread"`` runs them in one
-    process sharing a single :class:`WorldCache` (cells are pure and
-    world builds happen at most once per key, so sharing is safe), which
-    skips fork/pickle overhead and is the better fit for small grids or
-    environments where subprocesses are expensive or unavailable.  The
-    numpy-heavy inner loops hold the GIL, so thread-pool *speedups* are
-    modest; its value is lower fan-out overhead, not extra parallelism.
+    process cache); ``jobs>1`` fans cells across a process pool (``fork``
+    where available, so workers inherit already-built worlds).  Both
+    paths run the exact same per-cell code on the same virtual clock, so
+    the results are identical — parallelism only changes wall-clock.  A
+    thread pool is deliberately absent: the numpy-heavy inner loops hold
+    the GIL, so threads ran slower than a sequential loop.
     """
     cells = list(cells)
     for cell in cells:
         if not isinstance(cell, SimCell):
             raise ConfigError(f"expected SimCell, got {type(cell).__name__}")
-    if executor not in EXECUTORS:
-        raise ConfigError(
-            f"unknown executor {executor!r} (choose from {EXECUTORS})"
-        )
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(cells) <= 1:
         return [run_cell(cell, cache) for cell in cells]
     workers = min(jobs, len(cells))
-    if executor == "thread":
-        shared = cache if cache is not None else WorldCache()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(
-                pool.map(lambda cell: run_cell(cell, shared), cells)
-            )
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=_pool_context()
     ) as pool:

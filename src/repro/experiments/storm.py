@@ -245,7 +245,6 @@ def storm_results(
     deadline_multiplier: float = 3.0,
     objective: float = 0.9,
     jobs: int | None = 1,
-    executor: str = "process",
     cache: WorldCache | None = None,
     validate: bool = False,
 ) -> list[StormScaleResult]:
@@ -311,7 +310,7 @@ def storm_results(
             )
         plans.append((label, count, census, window, tenant_names, start))
 
-    reports = run_cells(cells, jobs=jobs, cache=cache, executor=executor)
+    reports = run_cells(cells, jobs=jobs, cache=cache)
 
     results: list[StormScaleResult] = []
     for label, count, census, window, tenant_names, start in plans:

@@ -19,8 +19,7 @@ method wrapping on a throwaway engine — the same patching idiom the
 mutant harness uses — so nothing leaks into other runs.  Phase
 ``calls`` count *logical scalar operations*, not Python invocations:
 one batched snapshot or prefetch block reports one call per expert it
-covered, so a block and the equivalent ``PrefetchInstruction`` list
-count the same.
+covered, whether the entry schedules a copy or is already tracked.
 
 ``run_profile`` executes a full world-build + warm + serve cycle under
 the timer and produces the ``BENCH_profile.json`` payload: per-phase
@@ -145,8 +144,8 @@ class PhaseTimer:
         # Batched phases report logical per-expert operation counts: one
         # snapshot call classifies every expert the layer touches, and
         # one prefetch block charges one transfer per block entry
-        # (entries already tracked count too — an instruction list pays
-        # a pool call for each "present" early return).
+        # (entries already tracked count too, though they skip the pool
+        # call).
         self.wrap(
             engine,
             "_snapshot_hits",

@@ -41,39 +41,27 @@ from repro.types import ExpertId, Stage
 
 
 @dataclass
-class PrefetchInstruction:
-    """One policy-requested expert prefetch with its issue priority."""
-
-    expert: ExpertId
-    priority: float = 0.0
-
-
-@dataclass
 class PolicyAction:
     """What a policy hook asks the engine to do.
 
     ``sync_overheads`` name → seconds added to the critical path (used by
     synchronous baselines and for fMoE's context collection).
-    ``async_overheads`` name → seconds that delay when the prefetch
-    instructions reach the PCIe queue but do not block compute (fMoE's
-    asynchronous matcher).
+    ``async_overheads`` name → seconds that delay when the prefetches
+    reach the PCIe queue but do not block compute (fMoE's asynchronous
+    matcher).
     """
 
-    prefetch: list[PrefetchInstruction] = field(default_factory=list)
     sync_overheads: dict[str, float] = field(default_factory=dict)
     async_overheads: dict[str, float] = field(default_factory=dict)
     block_until_arrival: bool = False
     """Synchronous-prefetch semantics: compute stalls until every prefetch
-    issued by this action has landed (Mixtral-Offloading, MoE-Infinity)."""
+    issued by this action has landed (Mixtral-Offloading)."""
 
     prefetch_block: tuple[np.ndarray, np.ndarray] | None = None
-    """Array form of ``prefetch``: a pair of equal-length arrays
-    (flat expert ids ``layer * J + j`` as int64, priorities as float64).
-    The engine issues the block in stable descending-priority order —
-    byte-identical to the equivalent instruction list, without one
-    ``PrefetchInstruction`` object per expert.  When both forms are set,
-    the block is materialized and appended to ``prefetch`` so a single
-    sort orders everything."""
+    """The experts to prefetch: a pair of equal-length arrays (flat expert
+    ids ``layer * J + j`` as int64, priorities as float64).  The engine
+    issues the block in stable descending-priority order, so equal
+    priorities keep emission order."""
 
 
 class IterationContext:
@@ -232,7 +220,7 @@ class ServingEngine:
         # may flip these around a serve to shed optional work under
         # overload.  Defaults preserve full service exactly.
         self.prefetch_enabled = True
-        """When False, policy prefetch instructions are discarded (ladder
+        """When False, policy prefetch blocks are discarded (ladder
         rung 1: PCIe bandwidth is reserved for on-demand loads)."""
 
         self.force_substitution = False
@@ -939,47 +927,10 @@ class ServingEngine:
         for name, seconds in action.async_overheads.items():
             breakdown.add_async(name, seconds)
             issue_time += seconds
-        if not self.prefetch_enabled:
-            return
-        block = action.prefetch_block
-        instructions = action.prefetch
-        if block is not None and instructions:
-            # Mixed form: materialize the block so one sort orders the
-            # combined set (rare — policies emit one form or the other).
-            width = self.config.experts_per_layer
-            ids, priorities = block
-            instructions = instructions + [
-                PrefetchInstruction(
-                    expert=ExpertId(int(i) // width, int(i) % width),
-                    priority=float(p),
-                )
-                for i, p in zip(ids, priorities)
-            ]
-            block = None
-        if block is not None:
-            self._issue_prefetch_block(action, block, breakdown, issue_time)
-            return
-        if not instructions:
-            return
-        ordered = sorted(
-            instructions, key=lambda ins: ins.priority, reverse=True
-        )
-        load_seconds = self.hardware.expert_load_seconds(self.config)
-        latest_arrival = self._now
-        scheduled = 0
-        for instruction in ordered:
-            status = self.pool.prefetch(instruction.expert, issue_time)
-            if status == "scheduled":
-                scheduled += 1
-                breakdown.add_async("prefetch_transfer", load_seconds)
-                arrival = self.pool.arrival_time(instruction.expert)
-                if arrival is not None:
-                    latest_arrival = max(latest_arrival, arrival)
-        if scheduled:
-            self._emit(EventKind.PREFETCH_ISSUED, detail=float(scheduled))
-        if action.block_until_arrival and latest_arrival > self._now:
-            breakdown.add_sync("sync_prefetch_wait", latest_arrival - self._now)
-            self._now = latest_arrival
+        if self.prefetch_enabled and action.prefetch_block is not None:
+            self._issue_prefetch_block(
+                action, action.prefetch_block, breakdown, issue_time
+            )
 
     def _issue_prefetch_block(
         self,
@@ -990,11 +941,10 @@ class ServingEngine:
     ) -> None:
         """Issue a prefetch block in descending-priority order.
 
-        Byte-identical to routing the same experts through the instruction
-        list: the stable argsort of negated priorities reproduces Python's
-        stable descending sort (ties keep emission order), and already
-        tracked experts are skipped with a dict-membership test — exactly
-        the pool's side-effect-free ``"present"`` early return.
+        The stable argsort of negated priorities keeps emission order
+        among ties.  Already tracked experts are skipped with a
+        dict-membership test — exactly the pool's side-effect-free
+        ``"present"`` early return, without the call.
         """
         ids, priorities = block
         if len(ids) == 0:
@@ -1007,7 +957,7 @@ class ServingEngine:
         latest_arrival = self._now
         scheduled = 0
         # Read-modify-write outside the loop; .get keeps the key absent
-        # when nothing schedules, exactly like the legacy add_async calls.
+        # when nothing schedules, exactly like per-copy add_async calls.
         transfer = breakdown.asynchronous.get("prefetch_transfer", 0.0)
         for pos in order:
             flat = int(ids[pos])
@@ -1023,7 +973,6 @@ class ServingEngine:
                     latest_arrival = arrival
         if scheduled:
             breakdown.asynchronous["prefetch_transfer"] = transfer
-        if scheduled:
             self._emit(EventKind.PREFETCH_ISSUED, detail=float(scheduled))
         if action.block_until_arrival and latest_arrival > self._now:
             breakdown.add_sync("sync_prefetch_wait", latest_arrival - self._now)

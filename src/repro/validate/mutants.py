@@ -101,7 +101,7 @@ def _evict_hottest(engine: "ServingEngine") -> None:
 
 
 class _PrefetchStripper:
-    """Delegates every policy hook but discards prefetch instructions."""
+    """Delegates every policy hook but discards prefetch blocks."""
 
     def __init__(self, inner) -> None:
         self._inner = inner
@@ -112,7 +112,6 @@ class _PrefetchStripper:
 
     def _strip(self, action):
         if action is not None:
-            action.prefetch = []
             action.prefetch_block = None
         return action
 
@@ -208,7 +207,7 @@ MUTANTS: tuple[Mutant, ...] = (
     ),
     Mutant(
         name="ignore-prefetch",
-        description="all prefetch instructions silently discarded",
+        description="all prefetch blocks silently discarded",
         expected_detector="differential-reference law",
         apply=_ignore_prefetch,
     ),

@@ -10,13 +10,15 @@ reports between the two:
     (:class:`ReferenceTrajectoryMatch`, the naive reading of Eq. 5);
 (b) eviction declines the dense matrix, so the pool sorts candidates by
     one ``eviction_priority`` call each;
-(c) every prefetch block becomes a ``PrefetchInstruction`` list, the
-    form baseline policies emit;
+(c) prefetch blocks are issued entry by entry
+    (:func:`reference_issue_prefetch_block`: a Python sort and one pool
+    call per entry) instead of by the engine's argsort-and-skip loop;
 (d) a :class:`~repro.obs.sinks.NullSink` recorder is attached, so every
     layer goes through the general serve loop instead of the all-hit
     fast path.
 
-Only (a) lives here; (b)–(d) are production paths other callers run.
+(a) and (c) live here; (b) and (d) are production paths other callers
+run.  (c) applies to any policy on its own via :func:`use_reference_issuer`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 from repro.core.matcher import MatchResult
 from repro.core.store import ExpertMapStore
 from repro.obs.sinks import NullSink
-from repro.serving.engine import PrefetchInstruction
+from repro.serving.events import EventKind
 from repro.types import ExpertId
 
 
@@ -38,7 +40,6 @@ def reference_engine(engine) -> None:
     """
     policy = engine.policy
     matcher = policy.matcher
-    width = engine.config.experts_per_layer
     # (a) Full-prefix re-match instead of the streamed session.
     matcher.incremental_session = lambda batch_size: ReferenceTrajectoryMatch(
         matcher.store, batch_size
@@ -46,29 +47,62 @@ def reference_engine(engine) -> None:
     # (b) No dense matrix: per-candidate ``eviction_priority`` sort.
     policy.eviction_score_matrix = lambda now: None
 
-    # (c) Prefetch blocks become instruction lists, in emission order.
-    def as_instructions(hook):
-        def wrapped(*args):
-            action = hook(*args)
-            block = action.prefetch_block
-            if block is not None:
-                ids, priorities = block
-                action.prefetch = [
-                    PrefetchInstruction(
-                        expert=ExpertId(*divmod(int(i), width)),
-                        priority=float(p),
-                    )
-                    for i, p in zip(ids, priorities)
-                ]
-                action.prefetch_block = None
-            return action
-
-        return wrapped
-
-    policy.on_iteration_start = as_instructions(policy.on_iteration_start)
-    policy.on_gate_output = as_instructions(policy.on_gate_output)
+    # (c) Per-entry prefetch issue.
+    use_reference_issuer(engine)
     # (d) A recorder disables the all-hit fast path.
     engine.set_recorder(NullSink())
+
+
+def use_reference_issuer(engine) -> None:
+    """Issue this engine's prefetch blocks entry by entry.
+
+    Usable as ``run_system(..., mutate=use_reference_issuer)`` for any
+    policy; replaces the engine's ``_issue_prefetch_block`` in place.
+    """
+    engine._issue_prefetch_block = (
+        lambda action, block, breakdown, issue_time:
+        reference_issue_prefetch_block(
+            engine, action, block, breakdown, issue_time
+        )
+    )
+
+
+def reference_issue_prefetch_block(
+    engine, action, block, breakdown, issue_time
+) -> None:
+    """The straightforward prefetch issuer.
+
+    Sort the entries by priority with Python's stable descending sort,
+    offer each to ``pool.prefetch`` (already tracked experts answer
+    ``"present"`` without side effects), and charge one ``add_async``
+    per scheduled copy.  A ``block_until_arrival`` action then waits for
+    the latest scheduled copy to land.
+    """
+    ids, priorities = block
+    if len(ids) == 0:
+        return
+    width = engine.config.experts_per_layer
+    entries = sorted(
+        zip(ids.tolist(), priorities.tolist()),
+        key=lambda entry: entry[1],
+        reverse=True,
+    )
+    load_seconds = engine.hardware.expert_load_seconds(engine.config)
+    latest_arrival = engine._now
+    scheduled = 0
+    for flat, _ in entries:
+        expert = ExpertId(*divmod(flat, width))
+        if engine.pool.prefetch(expert, issue_time) == "scheduled":
+            scheduled += 1
+            breakdown.add_async("prefetch_transfer", load_seconds)
+            arrival = engine.pool.arrival_time(expert)
+            if arrival is not None:
+                latest_arrival = max(latest_arrival, arrival)
+    if scheduled:
+        engine._emit(EventKind.PREFETCH_ISSUED, detail=float(scheduled))
+    if action.block_until_arrival and latest_arrival > engine._now:
+        breakdown.add_sync("sync_prefetch_wait", latest_arrival - engine._now)
+        engine._now = latest_arrival
 
 
 class ReferenceTrajectoryMatch:

@@ -46,6 +46,9 @@ class GoldenCase:
 GOLDEN_CASES: tuple[GoldenCase, ...] = (
     GoldenCase("mixtral-8x7b", "lmsys-chat-1m", "fmoe"),
     GoldenCase("mixtral-8x7b", "lmsys-chat-1m", "moe-infinity"),
+    GoldenCase("mixtral-8x7b", "lmsys-chat-1m", "mixtral-offloading"),
+    GoldenCase("mixtral-8x7b", "lmsys-chat-1m", "promoe"),
+    GoldenCase("mixtral-8x7b", "lmsys-chat-1m", "oracle"),
     GoldenCase("qwen1.5-moe", "sharegpt", "fmoe"),
 )
 

@@ -62,12 +62,13 @@ class TestTrackers:
     def test_base_policy_topk_helper(self):
         import numpy as np
 
-        instructions = BasePolicy.instructions_for_topk(
-            2, np.array([0.1, 0.6, 0.3]), k=2
+        ids, priorities = BasePolicy.topk_block(
+            2, np.array([0.1, 0.6, 0.3]), k=2, base_priority=1.0
         )
-        experts = {i.expert for i in instructions}
-        assert experts == {E(2, 1), E(2, 2)}
-        assert all(i.expert.layer == 2 for i in instructions)
+        # Flat ids ``layer * J + j``, most probable first.
+        assert ids.tolist() == [2 * 3 + 1, 2 * 3 + 2]
+        assert priorities.dtype == np.float64
+        assert priorities.tolist() == [1.0 + 0.6, 1.0 + 0.3]
 
 
 class TestNoOffload:

@@ -3,13 +3,14 @@
 The serving hot loop is pinned three ways; this suite is the
 differential leg.  :func:`tests._reference_core.reference_engine` swaps
 in reference paths (naive full-prefix trajectory re-matching,
-per-candidate eviction scoring, instruction-list prefetching, and the
+per-candidate eviction scoring, per-entry prefetch issue, and the
 general serve loop instead of the all-hit fast path), and every test
 here demands **byte-identical** serialized reports between the engine
 and its reference-routed twin — on hypothesis-generated worlds and
 arrival traces, through fault schedules, and through the cluster driver.
-The golden leg holds the engine to the committed corpus byte for byte,
-and the mutant screen proves the validators still have their teeth.
+The golden leg holds the engine, and the engine with only per-entry
+prefetch issue swapped in, to the committed corpus byte for byte; the
+mutant screen proves the validators still have their teeth.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from repro.validate.harness import detect_mutant
 from repro.validate.mutants import MUTANTS
 
 from tests._cluster_testkit import arrival_trace, tiny_world
-from tests._reference_core import reference_engine
+from tests._reference_core import reference_engine, use_reference_issuer
 from tests._strategies import fleet_shapes
 from tests.golden.corpus import GOLDEN_CASES, load_golden
 
@@ -57,8 +58,8 @@ class TestGoldenParity:
 
         return WorldCache()
 
-    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.filename)
-    def test_engine_equals_golden_bytes(self, case, world_cache):
+    @staticmethod
+    def _served(case, world_cache, mutate=None):
         from repro.experiments.common import ExperimentConfig
         from tests.golden.corpus import (
             GOLDEN_NUM_REQUESTS,
@@ -74,11 +75,21 @@ class TestGoldenParity:
             seed=GOLDEN_SEED,
         )
         world = world_cache.get(config)
+        report = run_system(world, case.system, mutate=mutate)
+        return json.dumps(report_to_dict(report), sort_keys=True)
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.filename)
+    def test_engine_equals_golden_bytes(self, case, world_cache):
         golden = json.dumps(load_golden(case), sort_keys=True)
-        served = json.dumps(
-            report_to_dict(run_system(world, case.system)), sort_keys=True
-        )
+        served = self._served(case, world_cache)
         assert served == golden, f"{case.filename}: engine drifted"
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.filename)
+    def test_reference_issuer_equals_golden_bytes(self, case, world_cache):
+        """Per-entry prefetch issue reproduces every golden, too."""
+        golden = json.dumps(load_golden(case), sort_keys=True)
+        served = self._served(case, world_cache, mutate=use_reference_issuer)
+        assert served == golden, f"{case.filename}: reference drifted"
 
 
 class TestPropertyParity:

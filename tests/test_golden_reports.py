@@ -75,7 +75,7 @@ def world_cache():
 
 class TestGoldenCorpus:
     def test_corpus_is_complete(self):
-        assert len(GOLDEN_CASES) == 3
+        assert len(GOLDEN_CASES) == 6
         for case in GOLDEN_CASES:
             assert case.path.is_file(), f"missing golden file {case.path}"
 

@@ -20,11 +20,10 @@ from repro.serving.request import Request
 from repro.types import ExpertId
 
 
-class InstructionAuditor(BasePolicy):
-    """Wraps a policy and records every prefetch instruction it emits.
+class PrefetchAuditor(BasePolicy):
+    """Wraps a policy and records every expert its prefetch blocks name.
 
-    Both prefetch forms are audited: ``PrefetchInstruction`` lists and
-    ``prefetch_block`` flat ids (``layer * J + j``), which fMoE emits.
+    Block entries are flat ids ``layer * J + j``.
     """
 
     name = "auditor"
@@ -32,8 +31,8 @@ class InstructionAuditor(BasePolicy):
     def __init__(self, inner: BasePolicy):
         super().__init__()
         self.inner = inner
-        self.start_instructions = []
-        self.layer_instructions = []  # (current_layer, target_layer)
+        self.start_targets = []
+        self.layer_targets = []  # (current_layer, target_layer)
 
     def attach(self, engine):
         super().attach(engine)
@@ -50,23 +49,22 @@ class InstructionAuditor(BasePolicy):
         self.inner.on_request_end(request)
 
     def _targets(self, action):
-        experts = [i.expert for i in action.prefetch]
-        if action.prefetch_block is not None:
-            width = self.config.experts_per_layer
-            experts.extend(
-                ExpertId(*divmod(int(flat), width))
-                for flat in action.prefetch_block[0]
-            )
-        return experts
+        if action.prefetch_block is None:
+            return []
+        width = self.config.experts_per_layer
+        return [
+            ExpertId(*divmod(int(flat), width))
+            for flat in action.prefetch_block[0]
+        ]
 
     def on_iteration_start(self, ctx):
         action = self.inner.on_iteration_start(ctx)
-        self.start_instructions.extend(self._targets(action))
+        self.start_targets.extend(self._targets(action))
         return action
 
     def on_gate_output(self, ctx, layer):
         action = self.inner.on_gate_output(ctx, layer)
-        self.layer_instructions.extend(
+        self.layer_targets.extend(
             (layer, expert.layer) for expert in self._targets(action)
         )
         return action
@@ -99,7 +97,7 @@ def test_prefetch_targets_are_never_in_the_past(name, seed, cluster):
     """No policy may issue a prefetch for a layer at or behind the front."""
     config = tiny_test_model()
     model = MoEModel(config, seed=0)
-    auditor = InstructionAuditor(policy_factory(name))
+    auditor = PrefetchAuditor(policy_factory(name))
     hardware = HardwareConfig(
         num_gpus=2, framework_layer_overhead_seconds=1e-3
     )
@@ -117,12 +115,12 @@ def test_prefetch_targets_are_never_in_the_past(name, seed, cluster):
 
     if name == "fmoe":
         # The warmed store always yields a semantic and a trajectory
-        # match, so an empty audit means the instructions went unseen.
-        assert auditor.start_instructions and auditor.layer_instructions
+        # match, so an empty audit means the prefetches went unseen.
+        assert auditor.start_targets and auditor.layer_targets
     layers = config.num_layers
-    for expert in auditor.start_instructions:
+    for expert in auditor.start_targets:
         assert 0 <= expert.layer < layers
-    for current, target in auditor.layer_instructions:
+    for current, target in auditor.layer_targets:
         assert target > current, (current, target)
         assert target < layers
 

@@ -8,11 +8,10 @@ from repro.errors import ConfigError
 from repro.serving.engine import (
     IterationContext,
     PolicyAction,
-    PrefetchInstruction,
     ServingEngine,
 )
 from repro.serving.request import Request
-from repro.types import ExpertId, Stage
+from repro.types import Stage
 
 
 class RecordingPolicy(BasePolicy):
@@ -59,11 +58,12 @@ class PrefetchCurrentPlusOne(BasePolicy):
         target = layer + 1
         if target >= self.config.num_layers:
             return PolicyAction()
+        width = self.config.experts_per_layer
         return PolicyAction(
-            prefetch=[
-                PrefetchInstruction(ExpertId(target, j))
-                for j in range(self.config.experts_per_layer)
-            ]
+            prefetch_block=(
+                target * width + np.arange(width),
+                np.zeros(width),
+            )
         )
 
     def eviction_priority(self, expert, now):
